@@ -128,8 +128,9 @@ def metrics(ctx, dist_file, selected):
     base = ctx.obj["base"]
     names = selected or METRIC_NAMES
     try:
+        u = dist.u_values(base)  # fills the entropy table every metric then reads
         report = {name: dist.evaluate(metric_expression(name, dist.n), base) for name in names}
-        report["u"] = list(dist.u_values(base))
+        report["u"] = list(u)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     report["n"] = dist.n

@@ -3,9 +3,11 @@
 A :class:`JointDistribution` stores the full probability mass function over
 a finite product alphabet as a dense array, one axis per variable.  Marginal
 entropies are computed by the plug-in estimator with the base-2 logarithm
-(bits) and cached per subset, so evaluating an expression or the whole u_k
-profile touches each marginal once.  Natural-log output is available through
-the ``base`` argument on the evaluation methods.
+(bits).  A single marginal is summed straight from the pmf; the whole u_k
+profile fills a table of all 2^n marginal entropies in one depth-first walk
+of the subset lattice, where each marginal is one axis-sum of a parent with
+one more variable, and every later lookup reads that table.  Natural-log
+output is available through the ``base`` argument on the evaluation methods.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -16,8 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from itertools import combinations
-from math import comb
+from math import comb, prod
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
@@ -36,6 +37,7 @@ __all__ = [
 PROB_ZERO = 1e-15  # probabilities at or below this count as zero in logs
 SUM_TOLERANCE = 1e-9
 MAX_VARIABLES = 20
+MAX_DENSE_CELLS = 1 << 24  # largest pmf array built from states (128 MiB of floats)
 
 
 class DistributionFormatError(ValueError):
@@ -51,6 +53,14 @@ def _base_scale(base: float) -> float:
     return math.log(2.0) / math.log(base)
 
 
+def _plugin_entropy_bits(marginal: np.ndarray) -> float:
+    """Plug-in entropy in bits of a marginal pmf array."""
+    p = marginal.ravel()
+    p = p[p > PROB_ZERO]
+    h = -float(np.dot(p, np.log2(p)))
+    return h if h > 0.0 else 0.0  # tiny negative round-off on point masses
+
+
 class JointDistribution:
     """Probability mass function over a finite product alphabet.
 
@@ -59,7 +69,7 @@ class JointDistribution:
     to call concurrently.
     """
 
-    __slots__ = ("_pmf", "_entropy_bits_cache")
+    __slots__ = ("_pmf", "_entropies")
 
     def __init__(self, pmf, *, sum_tolerance: float = SUM_TOLERANCE):
         arr = np.array(pmf, dtype=float)
@@ -67,6 +77,8 @@ class JointDistribution:
             raise ValueError("a distribution needs at least one variable")
         if arr.ndim > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} variables are supported")
+        if not np.isfinite(arr).all():
+            raise ValueError("probabilities must be finite")
         if (arr < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(arr.sum())
@@ -77,7 +89,7 @@ class JointDistribution:
         arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "_pmf", arr)
-        object.__setattr__(self, "_entropy_bits_cache", {0: 0.0})
+        object.__setattr__(self, "_entropies", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
@@ -129,6 +141,12 @@ class JointDistribution:
                     raise DistributionFormatError(
                         f"state {state} outside alphabet sizes {sizes}"
                     )
+        cells = prod(sizes)
+        if cells > MAX_DENSE_CELLS:
+            raise DistributionFormatError(
+                f"alphabet sizes {sizes} need a dense table of {cells} cells, "
+                f"more than the {MAX_DENSE_CELLS} supported"
+            )
         arr = np.zeros(sizes, dtype=float)
         for state, p in states:
             arr[state] += p
@@ -163,29 +181,70 @@ class JointDistribution:
 
     @classmethod
     def from_samples(cls, rows: Iterable[Sequence[int]]) -> "JointDistribution":
-        """Build the empirical distribution of raw observations."""
+        """Build the empirical distribution of raw observations.
+
+        Entropy does not depend on labels, so each variable's observed
+        symbols are relabelled to dense codes 0..k-1 in increasing order;
+        sparse symbols such as 0 and 99991 cost no empty table cells.
+        """
         counts = Counter(tuple(int(s) for s in row) for row in rows)
         if not counts:
             raise DistributionFormatError("no samples")
+        nvars = len(next(iter(counts)))
+        if any(len(state) != nvars for state in counts):
+            raise DistributionFormatError("states have inconsistent lengths")
+        if any(s < 0 for state in counts for s in state):
+            raise DistributionFormatError("symbols must be nonnegative integers")
+        codes = [{s: c for c, s in enumerate(sorted(set(column)))} for column in zip(*counts)]
         total = sum(counts.values())
-        return cls.from_pmf({state: c / total for state, c in counts.items()})
+        return cls.from_pmf({
+            tuple(code[s] for code, s in zip(codes, state)): c / total
+            for state, c in counts.items()
+        })
 
     # -- entropies ---------------------------------------------------------
 
+    def _entropy_table(self) -> np.ndarray:
+        """Read-only table of all 2^n marginal entropies in bits, by subset mask.
+
+        Built on first use by a depth-first walk of the subset lattice: a
+        node drops only variables below the lowest one its ancestors
+        dropped, so every subset is reached once and its marginal is one
+        axis-sum of its parent's.  That costs O(3^n) for binary variables
+        against O(4^n) for summing each marginal from the pmf, and keeps at
+        most n + 1 marginals alive.  The table is published whole in one
+        assignment, so concurrent callers see either no table or all of it.
+        """
+        table = self._entropies
+        if table is not None:
+            return table
+        table = np.empty(1 << self.n)
+
+        def visit(marginal: np.ndarray, mask: int, low: int) -> None:
+            table[mask] = _plugin_entropy_bits(marginal)
+            # variables 0..low-1 are all kept, so variable j is axis j
+            for j in range(low):
+                visit(marginal.sum(axis=j), mask ^ (1 << j), j)
+
+        visit(self._pmf, (1 << self.n) - 1, self.n)
+        table[0] = 0.0
+        table.flags.writeable = False
+        object.__setattr__(self, "_entropies", table)
+        return table
+
     def _entropy_bits(self, mask: int) -> float:
-        """Shannon entropy in bits of the marginal selected by ``mask``."""
-        cached = self._entropy_bits_cache.get(mask)
-        if cached is not None:
-            return cached
+        """Shannon entropy in bits of the marginal selected by ``mask``.
+
+        Reads the entropy table once it exists; until then sums only this
+        marginal, so sparse expressions touch only the subsets they name.
+        """
+        table = self._entropies
+        if table is not None:
+            return float(table[mask])
+        if not mask:
+            return 0.0
         drop = tuple(i for i in range(self.n) if not (mask >> i) & 1)
-        marginal = self._pmf.sum(axis=drop) if drop else self._pmf
-        p = marginal.ravel()
-        p = p[p > PROB_ZERO]
-        h = float(-(p * np.log2(p)).sum()) if p.size else 0.0
-        if h < 0.0:  # tiny negative round-off on point masses
-            h = 0.0
-        self._entropy_bits_cache[mask] = h
-        return h
+        return _plugin_entropy_bits(self._pmf.sum(axis=drop) if drop else self._pmf)
 
     def subset_entropy(self, members: Iterable[int], base: float = 2.0) -> float:
         """Plug-in entropy of the marginal on 1-based variable indices."""
@@ -201,33 +260,20 @@ class JointDistribution:
         return total * _base_scale(base)
 
     def u_values(self, base: float = 2.0) -> tuple[float, ...]:
-        """The u_1..u_{n-1} profile, computed directly from the definition.
+        """The u_1..u_{n-1} profile, from the entropy table in closed form.
 
-        For each k this averages I(X_i ; X_j | X^a) over all pairs i < j and
-        all (k-1)-subsets a avoiding them, reading entropies from the cached
-        marginal table.  This is an independent computation path from
-        evaluating the symbolic u_k expressions.
+        u_k averages I(X_i ; X_j | X^a) over all pairs i < j and all
+        (k-1)-subsets a avoiding them, which equals 2 r_k - r_{k-1} - r_{k+1}
+        where r_s is the mean entropy of the s-variable marginals (r_0 = 0).
         """
         n = self.n
-        scale = _base_scale(base)
-        out = []
-        for k in range(1, n):
-            total = 0.0
-            for i, j in combinations(range(n), 2):
-                bij = (1 << i) | (1 << j)
-                rest = [v for v in range(n) if v != i and v != j]
-                for a in combinations(rest, k - 1):
-                    mc = 0
-                    for v in a:
-                        mc |= 1 << v
-                    total += (
-                        self._entropy_bits(mc | (1 << i))
-                        + self._entropy_bits(mc | (1 << j))
-                        - self._entropy_bits(mc | bij)
-                        - self._entropy_bits(mc)
-                    )
-            out.append(total / (comb(n, k + 1) * comb(k + 1, 2)) * scale)
-        return tuple(out)
+        sizes = np.zeros(1, dtype=np.intp)  # popcount of every mask
+        for _ in range(n):
+            sizes = np.concatenate((sizes, sizes + 1))
+        r = np.bincount(sizes, weights=self._entropy_table(), minlength=n + 1)
+        r /= [comb(n, s) for s in range(n + 1)]
+        u = (2.0 * r[1:n] - r[: n - 1] - r[2:]) * _base_scale(base)
+        return tuple(u.tolist())
 
     def conditional_mutual_information(
         self,
@@ -323,6 +369,10 @@ def _parse_csv(handle: IO[str]) -> JointDistribution:
                 raise DistributionFormatError(
                     f"line {lineno}: probability {token!r} is not a number"
                 ) from None
+            if not math.isfinite(p):
+                raise DistributionFormatError(
+                    f"line {lineno}: probability {token!r} is not finite"
+                )
             if p < 0:
                 raise DistributionFormatError(f"line {lineno}: negative probability")
             if state in seen:

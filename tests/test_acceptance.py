@@ -67,6 +67,7 @@ from entroconj.spins import (
 
 from helpers import (
     copy_triple,
+    definitional_u_values,
     random_distribution,
     random_expression,
     xor_triple,
@@ -277,6 +278,9 @@ def test_criterion_4_numeric_oracle_suite():
         n = int(rng.integers(2, 6))
         d = random_distribution(rng, rng.integers(2, 4, size=n))
         u = d.u_values()
+        # the definitional pair/subset average sums its own marginals, so it
+        # is independent of the entropy table the other two paths share
+        assert u == pytest.approx(definitional_u_values(d), abs=TOL)
         for k in range(1, n):
             assert u[k - 1] == pytest.approx(d.evaluate(u_expression(k, n)), abs=TOL)
 

@@ -70,6 +70,44 @@ def test_metrics_malformed_csv(runner, tmp_path):
     assert "line 3" in result.output + (result.stderr or "")
 
 
+def _assert_input_error(result, *needles):
+    # exit 2 with an error line; invoke() re-raises any uncaught exception
+    assert result.exit_code == 2
+    text = result.output + (result.stderr or "")
+    assert "error:" in text
+    assert "Traceback" not in text
+    for needle in needles:
+        assert needle in text
+
+
+def test_metrics_rejects_nan_probability(runner, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,x2,p\n0,0,0.5\n0,1,nan\n1,0,0.25\n1,1,0.25\n")
+    _assert_input_error(invoke(runner, ["metrics", str(path)]), "line 3", "not finite")
+
+
+def test_metrics_sparse_sample_codes_match_dense_codes(runner, tmp_path):
+    rows = [(0, 0, 1), (1, 2, 0), (2, 1, 1), (0, 0, 0), (1, 2, 1), (2, 2, 0), (0, 1, 1)]
+    sparse_codes = (0, 65537, 99991)
+    dense = tmp_path / "dense.csv"
+    dense.write_text("x1,x2,x3\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    sparse = tmp_path / "sparse.csv"
+    sparse.write_text("x1,x2,x3\n" + "".join(
+        f"{sparse_codes[a]},{sparse_codes[b]},{c}\n" for a, b, c in rows
+    ))
+    dense_result = invoke(runner, ["metrics", str(dense)])
+    sparse_result = invoke(runner, ["metrics", str(sparse)])
+    assert sparse_result.exit_code == 0
+    assert json.loads(sparse_result.output) == json.loads(dense_result.output)
+
+
+def test_metrics_refuses_oversized_table(runner, tmp_path):
+    # a p-table keeps its symbols, so these two rows span 10^10 cells
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,x2,p\n0,0,0.5\n99999,99999,0.5\n")
+    _assert_input_error(invoke(runner, ["metrics", str(path)]), "dense table")
+
+
 # ---------------------------------------------------------------------------
 # symbolic commands
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ from entroconj import (
     metric_expression,
     u_expression,
 )
+from entroconj.distributions import MAX_DENSE_CELLS
 
 from helpers import (
+    awkward_pmfs,
     brute_entropy_bits,
     copy_pair,
     copy_triple,
+    definitional_u_values,
     parity_distribution,
     random_distribution,
     random_expression,
@@ -74,9 +77,37 @@ def test_natural_log_units():
     )
 
 
+def test_single_marginals_and_entropy_table_match_brute_force_oracle():
+    # every subset, first summed on its own, then read from the table that
+    # u_values fills
+    for arr in awkward_pmfs(np.random.default_rng(16), 24):
+        d = JointDistribution(arr)
+        pmf = {idx: float(arr[idx]) for idx in np.ndindex(arr.shape)}
+        subsets = [
+            [i + 1 for i in range(d.n) if (mask >> i) & 1] for mask in range(1 << d.n)
+        ]
+        expected = [brute_entropy_bits(pmf, members) for members in subsets]
+        assert [d.subset_entropy(m) for m in subsets] == pytest.approx(expected, abs=1e-12)
+        d.u_values()
+        assert [d.subset_entropy(m) for m in subsets] == pytest.approx(expected, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # u profiles
 # ---------------------------------------------------------------------------
+
+
+def test_u_values_match_definitional_oracle():
+    for arr in awkward_pmfs(np.random.default_rng(18), 40):
+        d = JointDistribution(arr)
+        assert d.u_values() == pytest.approx(definitional_u_values(d), abs=1e-12)
+
+
+def test_u_values_in_nats_scale_the_bit_profile():
+    d = random_distribution(np.random.default_rng(19), (2, 3, 4, 2))
+    assert d.u_values(base=math.e) == pytest.approx(
+        [u * math.log(2.0) for u in d.u_values()], abs=1e-12
+    )
 
 
 def test_independent_variables_have_zero_profile():
@@ -212,6 +243,12 @@ def test_sum_far_from_one_rejected():
         JointDistribution(np.full((2, 2), 0.2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probability_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        JointDistribution([bad, 1.0])
+
+
 def test_small_drift_is_renormalized():
     d = JointDistribution(np.full((2, 2), 0.25 + 1e-12))
     assert d.pmf.sum() == pytest.approx(1.0, abs=1e-15)
@@ -226,6 +263,28 @@ def test_pmf_is_read_only():
 def test_from_samples_counts_frequencies():
     d = JointDistribution.from_samples([(0, 0), (1, 1), (0, 0), (1, 1)])
     assert np.allclose(d.pmf, copy_pair().pmf)
+
+
+def test_from_samples_relabels_sparse_symbols():
+    sparse = JointDistribution.from_samples([(0, 99991), (65537, 0), (0, 99991), (99991, 3)])
+    dense = JointDistribution.from_samples([(0, 2), (1, 0), (0, 2), (2, 1)])
+    assert sparse.alphabet_sizes == (3, 3)
+    assert np.array_equal(sparse.pmf, dense.pmf)
+
+
+def test_from_samples_rejects_ragged_and_negative_rows():
+    with pytest.raises(DistributionFormatError, match="inconsistent"):
+        JointDistribution.from_samples([(0, 1), (0, 1, 1)])
+    with pytest.raises(DistributionFormatError, match="nonnegative"):
+        JointDistribution.from_samples([(0, 1), (-1, 0)])
+
+
+def test_from_pmf_refuses_oversized_table_before_allocating():
+    # 10^12 cells would need 8 TB; the refusal must come first
+    with pytest.raises(DistributionFormatError, match="dense table"):
+        JointDistribution.from_pmf({(0, 0): 0.5, (999_999, 999_999): 0.5})
+    with pytest.raises(DistributionFormatError, match="dense table"):
+        JointDistribution.from_pmf({(0,): 1.0}, alphabet_sizes=(MAX_DENSE_CELLS + 1,))
 
 
 def test_from_csv_duplicate_state_rejected():
@@ -266,6 +325,12 @@ def test_load_csv_reports_line_numbers():
         _load("x1,x2,p\n0,0,0.5\n0,1,0.25\n1,0\n")
     with pytest.raises(DistributionFormatError, match="line 3"):
         _load("x1,x2,p\n0,0,0.5\n0,0,0.5\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_load_csv_rejects_non_finite_probability(token):
+    with pytest.raises(DistributionFormatError, match="line 3: probability .* is not finite"):
+        _load(f"x1,x2,p\n0,0,0.5\n0,1,{token}\n1,1,0.5\n")
 
 
 def test_load_csv_sum_error():
