@@ -17,117 +17,21 @@ The package has four layers:
   PCA summary and CSV/JSON data products.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # set before the imports: spins reads it
 
-from .algebra import (
-    EntropyExpression,
-    NotInSpanError,
-    NotLabelSymmetricError,
-    SymmetryClass,
-    UBasisVector,
-    classify,
-    conjugate,
-    distinct_term_count,
-    entropy_term,
-    expression_from_json,
-    expression_to_json,
-    from_u_basis,
-    is_label_symmetric,
-    mask_members,
-    mutual_information_expr,
-    r_expression,
-    span_dimensions,
-    subset_mask,
-    sym_skew_decompose,
-    to_u_basis,
-    u_expression,
-    u_inner_product,
-)
-from .distributions import DistributionFormatError, JointDistribution, load_csv
-from .metrics import (
-    METRIC_NAMES,
-    Metric,
-    metric_conjugation_class,
-    metric_expression,
-    metric_u_coefficients,
-    tse_expression,
-)
-from .pid import (
-    MonotoneBooleanFunction,
-    antichain_to_bf,
-    bf_to_antichain,
-    cmi_atom_set,
-    dual,
-    enumerate_atoms,
-    pid_conjugate_check,
-    reference_pid,
-    verify_theorem1_sets,
-)
-from .spins import (
-    CONDITIONS,
-    EnsembleResult,
-    PCAResult,
-    SpinEnsembleConfig,
-    boltzmann_distribution,
-    emit_results,
-    pc_metric,
-    pca,
-    run_ensemble,
-    run_experiment,
-    sample_couplings,
-)
+from . import algebra, distributions, metrics, pid, spins
+from .algebra import *
+from .distributions import *
+from .metrics import *
+from .pid import *
+from .spins import *
 
+# each module's own __all__ decides what it makes public
 __all__ = [
     "__version__",
-    "EntropyExpression",
-    "UBasisVector",
-    "SymmetryClass",
-    "NotInSpanError",
-    "NotLabelSymmetricError",
-    "subset_mask",
-    "mask_members",
-    "entropy_term",
-    "conjugate",
-    "mutual_information_expr",
-    "u_expression",
-    "r_expression",
-    "is_label_symmetric",
-    "to_u_basis",
-    "from_u_basis",
-    "classify",
-    "sym_skew_decompose",
-    "u_inner_product",
-    "distinct_term_count",
-    "span_dimensions",
-    "expression_to_json",
-    "expression_from_json",
-    "Metric",
-    "METRIC_NAMES",
-    "metric_expression",
-    "metric_u_coefficients",
-    "metric_conjugation_class",
-    "tse_expression",
-    "JointDistribution",
-    "DistributionFormatError",
-    "load_csv",
-    "MonotoneBooleanFunction",
-    "enumerate_atoms",
-    "antichain_to_bf",
-    "bf_to_antichain",
-    "dual",
-    "cmi_atom_set",
-    "verify_theorem1_sets",
-    "reference_pid",
-    "pid_conjugate_check",
-    "CONDITIONS",
-    "SpinEnsembleConfig",
-    "EnsembleResult",
-    "PCAResult",
-    "sample_couplings",
-    "boltzmann_distribution",
-    "run_ensemble",
-    "pca",
-    "pc_metric",
-    "run_experiment",
-    "emit_results",
+    *algebra.__all__,
+    *distributions.__all__,
+    *metrics.__all__,
+    *pid.__all__,
+    *spins.__all__,
 ]

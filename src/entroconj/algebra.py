@@ -49,7 +49,6 @@ __all__ = [
     "u_inner_product",
     "distinct_term_count",
     "span_dimensions",
-    "rational_rank",
     "expression_to_json",
     "expression_from_json",
 ]
@@ -394,32 +393,6 @@ def span_dimensions(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("need at least two variables")
     return n // 2, (n - 1) // 2
-
-
-def rational_rank(rows: Iterable[Iterable[Rational]]) -> int:
-    """Rank of a matrix over the rationals, by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("ragged matrix")
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def expression_to_json(e: EntropyExpression) -> dict:

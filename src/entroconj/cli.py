@@ -28,15 +28,15 @@ from .algebra import (
     expression_to_json,
     to_u_basis,
 )
-from .distributions import DistributionFormatError, JointDistribution, load_csv
+from .distributions import DistributionFormatError, JointDistribution, _base_scale, load_csv
 from .metrics import METRIC_NAMES, metric_expression
 from .pid import (
+    MAX_ENUM_SOURCES,
     antichain_to_bf,
     bf_to_antichain,
     cmi_atom_set,
     dual,
     enumerate_atoms,
-    pid_conjugate_check,
     reference_pid,
     verify_theorem1_sets,
 )
@@ -96,20 +96,12 @@ def _atom_json(f, value: float | None = None) -> dict:
     show_default=True,
     help="Logarithm base for numeric outputs (bits or nats).",
 )
-@click.option(
-    "--tolerance",
-    type=float,
-    default=1e-9,
-    show_default=True,
-    help="Numeric tolerance for internal consistency checks.",
-)
 @click.version_option()
 @click.pass_context
-def main(ctx, log_base, tolerance):
+def main(ctx, log_base):
     """High-order interdependence toolkit."""
     ctx.ensure_object(dict)
     ctx.obj["base"] = 2.0 if log_base == "2" else math.e
-    ctx.obj["tolerance"] = tolerance
 
 
 @main.command()
@@ -219,6 +211,8 @@ def pid_cmi_set(n, a_text, b_text):
 @click.option("--b", "b_text", default="[]", show_default=True)
 def pid_verify_theorem1(n, a_text, b_text):
     """Check the dual-atom identity for one (a, b) pair or all of them."""
+    if not 1 <= n <= MAX_ENUM_SOURCES:
+        _fail(EXIT_INPUT_ERROR, f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
     try:
         if a_text is not None:
             a = _parse_index_list(a_text, "--a")
@@ -242,13 +236,18 @@ def pid_verify_theorem1(n, a_text, b_text):
 
 @pid.command("decompose")
 @click.argument("dist_file", type=click.File("r"))
+@click.option(
+    "--tolerance",
+    type=float,
+    default=1e-9,
+    show_default=True,
+    help="Numeric tolerance for internal consistency checks.",
+)
 @click.pass_context
-def pid_decompose(ctx, dist_file):
+def pid_decompose(ctx, dist_file, tolerance):
     """Reference decomposition of a distribution (last variable = target)."""
     dist = _load_distribution(dist_file)
-    base = ctx.obj["base"]
-    tolerance = ctx.obj["tolerance"]
-    scale = 1.0 if base == 2.0 else math.log(2.0) / math.log(base)
+    scale = _base_scale(ctx.obj["base"])
     try:
         values = reference_pid(dist)
     except ValueError as exc:
@@ -291,6 +290,9 @@ def spinlab(n, beta, mu, sigma2, count, seed, out):
         _fail(EXIT_INPUT_ERROR, str(exc))
     try:
         ensemble, pca_result = run_experiment(config)
+    except ValueError as exc:  # beta * energy overflows
+        _fail(EXIT_DOMAIN_ERROR, f"cannot build the Boltzmann distributions: {exc}")
+    try:
         emit_results(ensemble, pca_result, out, config)
     except OSError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))

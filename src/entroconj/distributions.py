@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .algebra import EntropyExpression, subset_mask
+from .algebra import EntropyExpression, mutual_information_expr, subset_mask
 
 __all__ = [
     "JointDistribution",
@@ -153,33 +153,6 @@ class JointDistribution:
         return cls(arr)
 
     @classmethod
-    def from_csv(
-        cls, rows: Iterable[tuple[Sequence[int], float]]
-    ) -> "JointDistribution":
-        """Build from (state, probability) rows.
-
-        Duplicate states are rejected and the probabilities must already sum
-        to 1 within :data:`SUM_TOLERANCE` before the final renormalization.
-        """
-        seen: dict[tuple[int, ...], float] = {}
-        for state, p in rows:
-            state = tuple(int(s) for s in state)
-            p = float(p)
-            if state in seen:
-                raise DistributionFormatError(f"duplicate state {state}")
-            if p < 0:
-                raise DistributionFormatError(f"negative probability {p!r} for {state}")
-            seen[state] = p
-        if not seen:
-            raise DistributionFormatError("no rows")
-        total = sum(seen.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise DistributionFormatError(
-                f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
-            )
-        return cls.from_pmf(seen)
-
-    @classmethod
     def from_samples(cls, rows: Iterable[Sequence[int]]) -> "JointDistribution":
         """Build the empirical distribution of raw observations.
 
@@ -283,29 +256,7 @@ class JointDistribution:
         base: float = 2.0,
     ) -> float:
         """I(X^a ; X^b | X^c) for disjoint 1-based index sets."""
-        ma = subset_mask(a, self.n)
-        mb = subset_mask(b, self.n)
-        mc = subset_mask(c, self.n)
-        if ma & mb or ma & mc or mb & mc:
-            raise ValueError("index sets must be disjoint")
-        value = (
-            self._entropy_bits(ma | mc)
-            + self._entropy_bits(mb | mc)
-            - self._entropy_bits(ma | mb | mc)
-            - self._entropy_bits(mc)
-        )
-        return value * _base_scale(base)
-
-    def product_of_marginals(self) -> "JointDistribution":
-        """The independent distribution with the same single-variable marginals."""
-        marginals = []
-        for i in range(self.n):
-            drop = tuple(j for j in range(self.n) if j != i)
-            marginals.append(self._pmf.sum(axis=drop) if drop else self._pmf)
-        prod = marginals[0]
-        for m in marginals[1:]:
-            prod = np.multiply.outer(prod, m)
-        return JointDistribution(prod)
+        return self.evaluate(mutual_information_expr(self.n, a, b, c), base)
 
 
 def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
@@ -385,6 +336,11 @@ def _parse_csv(handle: IO[str]) -> JointDistribution:
 
     if not states:
         raise DistributionFormatError("line 2: no data rows")
-    if has_p:
-        return JointDistribution.from_csv(zip(states, probs))
-    return JointDistribution.from_samples(states)
+    if not has_p:
+        return JointDistribution.from_samples(states)
+    total = sum(probs)
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise DistributionFormatError(
+            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
+        )
+    return JointDistribution.from_pmf(dict(zip(states, probs)))

@@ -79,21 +79,20 @@ def _dtc(n: int) -> EntropyExpression:
     return EntropyExpression(n, terms)
 
 
-def tse_expression(n: int, *, halve_equal_bipartitions: bool = True) -> EntropyExpression:
+def tse_expression(n: int) -> EntropyExpression:
     """Definitional TSE expansion: bipartition-averaged mutual information.
 
     Sums C(n,k)^{-1} * I(X^a ; X^{-a}) over subset sizes k = 1..floor(n/2).
     For even n the k = n/2 pass visits every bipartition {a, -a} twice, once
-    from each side; with ``halve_equal_bipartitions`` those terms get weight
-    1/2 so that each unordered bipartition counts once.  The unhalved
-    reading is kept reachable for comparison only.
+    from each side, so those terms get weight 1/2 and each unordered
+    bipartition counts once.
     """
     n = _check_n(n)
     full = (1 << n) - 1
     acc: dict[int, Fraction] = defaultdict(Fraction)
     for k in range(1, n // 2 + 1):
         w = Fraction(1, comb(n, k))
-        if halve_equal_bipartitions and n % 2 == 0 and k == n // 2:
+        if n % 2 == 0 and k == n // 2:
             w /= 2
         for a in combinations(range(1, n + 1), k):
             mask = subset_mask(a, n)

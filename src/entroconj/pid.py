@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .algebra import mask_members, subset_mask
 from .distributions import PROB_ZERO, JointDistribution
 
 __all__ = [
@@ -81,20 +82,6 @@ class MonotoneBooleanFunction:
         return "".join(str((self.bits >> m) & 1) for m in range(1 << self.n))
 
 
-def _source_mask(members: Iterable[int], n: int) -> int:
-    mask = 0
-    for i in members:
-        i = int(i)
-        if not 1 <= i <= n:
-            raise ValueError(f"source index {i} outside 1..{n}")
-        mask |= 1 << (i - 1)
-    return mask
-
-
-def _mask_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
 @lru_cache(maxsize=None)
 def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
     """All atoms over n sources, in lexicographic truth-table order.
@@ -145,7 +132,7 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
     f(a) = 1 iff some member of the antichain is contained in a.  Members
     must be nonempty subsets of {1..n} with none containing another.
     """
-    masks = sorted({_source_mask(member, n) for member in antichain})
+    masks = sorted({subset_mask(member, n) for member in antichain})
     if not masks:
         raise ValueError("antichain must be nonempty")
     if 0 in masks:
@@ -154,7 +141,7 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
         for m2 in masks[i + 1 :]:
             if m1 & m2 == m1 or m1 & m2 == m2:
                 raise ValueError(
-                    f"{_mask_tuple(m1)} and {_mask_tuple(m2)} are nested: "
+                    f"{mask_members(m1)} and {mask_members(m2)} are nested: "
                     "antichain members must be incomparable"
                 )
     bits = 0
@@ -172,7 +159,7 @@ def bf_to_antichain(f: MonotoneBooleanFunction) -> Antichain:
             continue
         if any(f.value(mask ^ (1 << b)) for b in range(f.n) if (mask >> b) & 1):
             continue
-        minimal.append(_mask_tuple(mask))
+        minimal.append(mask_members(mask))
     return tuple(sorted(minimal))
 
 
@@ -198,8 +185,8 @@ def cmi_atom_set(
     n: int, a: Iterable[int], b: Iterable[int] = ()
 ) -> tuple[MonotoneBooleanFunction, ...]:
     """Atoms that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
-    ma = _source_mask(a, n)
-    mb = _source_mask(b, n)
+    ma = subset_mask(a, n)
+    mb = subset_mask(b, n)
     if ma & mb:
         raise ValueError("index sets must be disjoint")
     if not ma:
@@ -217,11 +204,11 @@ def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> boo
     sources.  Holds for every disjoint pair by order duality; this verifies
     it by direct enumeration.
     """
-    ma = _source_mask(a, n)
-    mb = _source_mask(b, n)
+    ma = subset_mask(a, n)
+    mb = subset_mask(b, n)
     full = (1 << n) - 1
     dualised = {dual(f) for f in cmi_atom_set(n, a, b)}
-    complement = _mask_tuple(full ^ (ma | mb))
+    complement = mask_members(full ^ (ma | mb))
     return dualised == set(cmi_atom_set(n, a, complement))
 
 
@@ -303,12 +290,10 @@ def pid_conjugate_check(
     mutual informations at the atom level.
     """
     m = dist.n - 1
-    ma = _source_mask(a, m)
-    mb = _source_mask(b, m)
+    ma = subset_mask(a, m)
+    mb = subset_mask(b, m)
     values = reference_pid(dist)
     lhs = sum(values[dual(f)] for f in cmi_atom_set(m, a, b))
-    complement = _mask_tuple(((1 << m) - 1) ^ (ma | mb))
-    rhs = dist.conditional_mutual_information(
-        _mask_tuple(ma), (dist.n,), complement
-    )
+    complement = mask_members(((1 << m) - 1) ^ (ma | mb))
+    rhs = dist.conditional_mutual_information(mask_members(ma), (dist.n,), complement)
     return float(lhs), float(rhs)

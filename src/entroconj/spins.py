@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import __version__
 from .algebra import EntropyExpression, UBasisVector, from_u_basis
@@ -44,9 +43,6 @@ __all__ = [
     "pc_metric",
     "run_experiment",
     "emit_results",
-    "loading_symmetry_deviation",
-    "loading_skew_deviation",
-    "linearly_separable",
 ]
 
 CONDITIONS = ("ferromagnetic", "weak", "frustrated")
@@ -60,7 +56,6 @@ class SpinEnsembleConfig:
 
     ``mu`` is the coupling mean of the ferromagnetic condition; the
     frustrated condition uses its negation and the weak condition zero.
-    The two thresholds are acceptance knobs for the PCA structure checks.
     """
 
     n: int = 8
@@ -69,14 +64,14 @@ class SpinEnsembleConfig:
     sigma2: float = 2.0
     systems_per_condition: int = 10
     seed: int = 42
-    loading_symmetry_tol: float = 0.25
-    variance_share_min: float = 0.9
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two spins")
         if self.n > MAX_SPINS:
             raise ValueError(f"at most {MAX_SPINS} spins (exact enumeration)")
+        if not all(math.isfinite(x) for x in (self.beta, self.mu, self.sigma2)):
+            raise ValueError("beta, mu and sigma2 must be finite")
         if self.sigma2 < 0:
             raise ValueError("coupling variance must be nonnegative")
         if self.systems_per_condition < 1:
@@ -87,6 +82,7 @@ class SpinEnsembleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinEnsembleConfig":
+        """Config from a manifest's ``config`` object; unknown keys are ignored."""
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in names})
 
@@ -145,7 +141,10 @@ def boltzmann_distribution(J: np.ndarray, beta: float) -> JointDistribution:
     x = 2.0 * states - 1.0
     upper = np.triu(J, k=1)
     energies = -(2.0 / (n * (n - 1))) * np.einsum("si,ij,sj->s", x, upper, x)
-    logw = -beta * energies
+    with np.errstate(over="ignore"):
+        logw = -beta * energies
+    if not np.isfinite(logw).all():
+        raise ValueError(f"beta * energy is not finite at beta={beta!r}")
     logw -= logw.max()  # guards exp overflow; cancels in the normalisation
     weights = np.exp(logw)
     pmf = (weights / weights.sum()).reshape((2,) * n, order="F")
@@ -224,45 +223,6 @@ def pc_metric(loadings: Sequence[float]) -> EntropyExpression:
         Fraction(float(x)).limit_denominator(10**12) for x in loadings
     )
     return from_u_basis(UBasisVector(len(coeffs) + 1, coeffs))
-
-
-def loading_symmetry_deviation(loadings: Sequence[float]) -> float:
-    """Relative deviation of a loading vector from index-reversal symmetry."""
-    v = np.asarray(loadings, dtype=float)
-    scale = float(np.abs(v).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(v - v[::-1]).max()) / scale
-
-
-def loading_skew_deviation(loadings: Sequence[float]) -> float:
-    """Relative deviation of a loading vector from index-reversal antisymmetry."""
-    v = np.asarray(loadings, dtype=float)
-    scale = float(np.abs(v).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(v + v[::-1]).max()) / scale
-
-
-def linearly_separable(points_a: np.ndarray, points_b: np.ndarray) -> bool:
-    """Whether two 2-D point clouds admit a strictly separating line.
-
-    Solves the feasibility program w.x + b <= -1 on one side and >= +1 on
-    the other; strict separability is scale-free, so feasibility of the
-    unit-margin program is equivalent.
-    """
-    a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    rows = [[p[0], p[1], 1.0] for p in a] + [[-p[0], -p[1], -1.0] for p in b]
-    bounds = [(None, None)] * 3
-    res = linprog(
-        c=[0.0, 0.0, 0.0],
-        A_ub=np.array(rows),
-        b_ub=-np.ones(len(rows)),
-        bounds=bounds,
-        method="highs",
-    )
-    return res.status == 0
 
 
 def run_experiment(config: SpinEnsembleConfig) -> tuple[EnsembleResult, PCAResult]:

@@ -7,8 +7,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+from scipy.optimize import linprog
 
-from entroconj import EntropyExpression, JointDistribution
+from entroconj import EntropyExpression, JointDistribution, mutual_information_expr
 
 
 def xor_triple() -> JointDistribution:
@@ -123,3 +124,94 @@ def awkward_pmfs(rng: np.random.Generator, count: int) -> list[np.ndarray]:
             pmf /= pmf.sum()
         out.append(pmf)
     return out
+
+
+def product_of_marginals(dist: JointDistribution) -> JointDistribution:
+    """The independent distribution with the same single-variable marginals."""
+    marginals = []
+    for i in range(dist.n):
+        drop = tuple(j for j in range(dist.n) if j != i)
+        marginals.append(dist.pmf.sum(axis=drop) if drop else dist.pmf)
+    prod = marginals[0]
+    for m in marginals[1:]:
+        prod = np.multiply.outer(prod, m)
+    return JointDistribution(prod)
+
+
+def rational_rank(rows) -> int:
+    """Rank of a matrix over the rationals, by exact Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def unhalved_tse_expression(n: int) -> EntropyExpression:
+    """TSE sum over ordered sides: for even n each equal split counts twice.
+
+    Sums C(n,k)^{-1} * I(X^a ; X^{-a}) over every a with 1 <= |a| <= n/2,
+    without the library's weight 1/2 on the |a| = n/2 bipartitions.
+    """
+    everyone = range(1, n + 1)
+    total = EntropyExpression(n)
+    for k in range(1, n // 2 + 1):
+        for a in combinations(everyone, k):
+            rest = [i for i in everyone if i not in a]
+            total = total + mutual_information_expr(n, a, rest) * Fraction(1, math.comb(n, k))
+    return total
+
+
+def loading_symmetry_deviation(loadings) -> float:
+    """Relative deviation of a loading vector from index-reversal symmetry."""
+    v = np.asarray(loadings, dtype=float)
+    scale = float(np.abs(v).max())
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(v - v[::-1]).max()) / scale
+
+
+def loading_skew_deviation(loadings) -> float:
+    """Relative deviation of a loading vector from index-reversal antisymmetry."""
+    v = np.asarray(loadings, dtype=float)
+    scale = float(np.abs(v).max())
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(v + v[::-1]).max()) / scale
+
+
+def linearly_separable(points_a: np.ndarray, points_b: np.ndarray) -> bool:
+    """Whether two 2-D point clouds admit a strictly separating line.
+
+    Solves the feasibility program w.x + b <= -1 on one side and >= +1 on
+    the other; strict separability is scale-free, so feasibility of the
+    unit-margin program is equivalent.
+    """
+    a = np.atleast_2d(np.asarray(points_a, dtype=float))
+    b = np.atleast_2d(np.asarray(points_b, dtype=float))
+    rows = [[p[0], p[1], 1.0] for p in a] + [[-p[0], -p[1], -1.0] for p in b]
+    res = linprog(
+        c=[0.0, 0.0, 0.0],
+        A_ub=np.array(rows),
+        b_ub=-np.ones(len(rows)),
+        bounds=[(None, None)] * 3,
+        method="highs",
+    )
+    return res.status == 0

@@ -57,23 +57,27 @@ from entroconj import (
     u_expression,
     verify_theorem1_sets,
 )
-from entroconj.algebra import UBasisVector, rational_rank
+from entroconj.algebra import UBasisVector
 from entroconj.pid import atom_leq
-from entroconj.spins import (
-    linearly_separable,
-    loading_skew_deviation,
-    loading_symmetry_deviation,
-)
 
 from helpers import (
     copy_triple,
     definitional_u_values,
+    linearly_separable,
+    loading_skew_deviation,
+    loading_symmetry_deviation,
+    product_of_marginals,
     random_distribution,
     random_expression,
+    rational_rank,
+    unhalved_tse_expression,
     xor_triple,
 )
 
 TOL = 1e-9
+# criterion-6 thresholds of the published spin experiment
+LOADING_SYMMETRY_TOL = 0.25
+VARIANCE_SHARE_MIN = 0.9
 
 
 def _report(criterion: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -268,7 +272,7 @@ def test_criterion_4_numeric_oracle_suite():
     rng = np.random.default_rng(400)
     for _ in range(10):
         n = int(rng.integers(2, 6))
-        product = random_distribution(rng, rng.integers(2, 4, size=n)).product_of_marginals()
+        product = product_of_marginals(random_distribution(rng, rng.integers(2, 4, size=n)))
         for metric in Metric:
             assert product.evaluate(metric_expression(metric, n)) == pytest.approx(
                 0.0, abs=TOL
@@ -361,8 +365,8 @@ def test_criterion_6_spin_experiment(tmp_path):
 
     total = float(result.explained_variance.sum())
     share = float(result.explained_variance[:2].sum()) / total
-    if share < config.variance_share_min:
-        failures.append(f"variance share {share:.4f} < {config.variance_share_min}")
+    if share < VARIANCE_SHARE_MIN:
+        failures.append(f"variance share {share:.4f} < {VARIANCE_SHARE_MIN}")
 
     # skew direction at the published parameters: the sign of O-information
     # separates the redundancy-dominated (ferromagnetic) systems from the
@@ -396,9 +400,9 @@ def test_criterion_6_spin_experiment(tmp_path):
                     f"{name} deviation does not fall at beta={beta}: {p:.3f} -> {c:.3f}"
                 )
     for name, dev in zip(("PC1 symmetry", "PC2 skew"), limit_devs[-1]):
-        if dev > config.loading_symmetry_tol:
+        if dev > LOADING_SYMMETRY_TOL:
             failures.append(
-                f"{name} deviation {dev:.3f} > {config.loading_symmetry_tol}"
+                f"{name} deviation {dev:.3f} > {LOADING_SYMMETRY_TOL}"
                 f" at beta={limit_betas[-1]}"
             )
 
@@ -453,7 +457,7 @@ def test_criterion_7_tse_even_n_reconciliation():
 
     # the unhalved reading double counts the equal split: at n=2 it
     # overshoots the k=1 term by exactly a factor of two
-    unhalved = tse_expression(2, halve_equal_bipartitions=False)
+    unhalved = unhalved_tse_expression(2)
     assert unhalved == u_expression(1, 2)
     assert unhalved == tse_expression(2) * 2
     assert to_u_basis(unhalved).c == (Fraction(1),)

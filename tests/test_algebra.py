@@ -36,7 +36,8 @@ from entroconj import (
     u_expression,
     u_inner_product,
 )
-from entroconj.algebra import rational_rank
+
+from helpers import rational_rank
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,12 @@ def test_metrics_malformed_csv(runner, tmp_path):
 
 
 def _assert_input_error(result, *needles):
-    # exit 2 with an error line; invoke() re-raises any uncaught exception
-    assert result.exit_code == 2
+    _assert_error(result, 2, *needles)
+
+
+def _assert_error(result, code, *needles):
+    # an error line and the exit code; invoke() re-raises any uncaught exception
+    assert result.exit_code == code
     text = result.output + (result.stderr or "")
     assert "error:" in text
     assert "Traceback" not in text
@@ -198,6 +202,24 @@ def test_pid_decompose_xor(runner, tmp_path):
     assert by_antichain["[[1], [2]]"] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "6"])
+def test_pid_verify_theorem1_sweep_checks_source_count_first(runner, n):
+    result = invoke(runner, ["pid", "verify-theorem1", "--n", n])
+    _assert_input_error(result, f"source count {n} outside 1..5")
+
+
+def test_tolerance_is_an_option_of_pid_decompose(runner, tmp_path):
+    assert "--tolerance" not in invoke(runner, ["--help"]).output
+    assert "--tolerance" in invoke(runner, ["pid", "decompose", "--help"]).output
+    path = tmp_path / "xor.csv"
+    path.write_text(XOR_CSV)
+    default = invoke(runner, ["pid", "decompose", str(path)])
+    assert invoke(runner, ["pid", "decompose", "--tolerance", "1e-6", str(path)]).output == default.output
+    # no decomposition passes a negative tolerance, so the guard must trip
+    result = invoke(runner, ["pid", "decompose", "--tolerance", "-1", str(path)])
+    _assert_error(result, 3, "decomposition inconsistent")
+
+
 def test_pid_decompose_too_many_sources(runner, tmp_path):
     path = tmp_path / "wide.csv"
     rows = ["x1,x2,x3,x4,x5"] + ["0,0,0,0,0", "1,1,1,1,1"]
@@ -240,3 +262,19 @@ def test_spinlab_rejects_bad_config(runner, tmp_path):
         main, ["spinlab", "--n", "1", "--out", str(tmp_path / "x")]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("option, value", [("--beta", "nan"), ("--mu", "inf"), ("--sigma2", "nan")])
+def test_spinlab_rejects_non_finite_parameters(runner, tmp_path, option, value):
+    out = tmp_path / "x"
+    result = invoke(runner, ["spinlab", option, value, "--out", str(out)])
+    _assert_input_error(result, "must be finite")
+    assert not out.exists()
+
+
+def test_spinlab_overflowing_weights_are_a_domain_error(runner, tmp_path):
+    # finite, but beta * energy overflows and the Boltzmann weights are not finite
+    out = tmp_path / "x"
+    result = invoke(runner, ["spinlab", "--n", "3", "--count", "1", "--beta", "1e308", "--out", str(out)])
+    _assert_error(result, 3, "Boltzmann")
+    assert not out.exists()

@@ -24,6 +24,7 @@ from helpers import (
     copy_triple,
     definitional_u_values,
     parity_distribution,
+    product_of_marginals,
     random_distribution,
     random_expression,
     xor_triple,
@@ -197,7 +198,7 @@ def test_in_span_metrics_vanish_on_products():
     rng = np.random.default_rng(14)
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        d = random_distribution(rng, rng.integers(2, 4, size=n)).product_of_marginals()
+        d = product_of_marginals(random_distribution(rng, rng.integers(2, 4, size=n)))
         for name in ("tc", "dtc", "tse", "ii", "oinfo", "sinfo"):
             assert d.evaluate(metric_expression(name, n)) == pytest.approx(
                 0.0, abs=TOL
@@ -210,19 +211,19 @@ def test_in_span_metrics_vanish_on_products():
 
 
 def test_product_of_marginals_of_xor_is_uniform():
-    pom = xor_triple().product_of_marginals()
+    pom = product_of_marginals(xor_triple())
     assert np.allclose(pom.pmf, 0.125)
 
 
 def test_product_of_marginals_is_idempotent():
     rng = np.random.default_rng(15)
-    d = random_distribution(rng, (2, 3, 2)).product_of_marginals()
-    again = d.product_of_marginals()
+    d = product_of_marginals(random_distribution(rng, (2, 3, 2)))
+    again = product_of_marginals(d)
     assert np.abs(d.pmf - again.pmf).max() < 1e-12
 
 
 def test_product_of_marginals_of_copy_is_uniform():
-    pom = copy_triple().product_of_marginals()
+    pom = product_of_marginals(copy_triple())
     assert np.allclose(pom.pmf, 0.125)
 
 
@@ -287,17 +288,6 @@ def test_from_pmf_refuses_oversized_table_before_allocating():
         JointDistribution.from_pmf({(0,): 1.0}, alphabet_sizes=(MAX_DENSE_CELLS + 1,))
 
 
-def test_from_csv_duplicate_state_rejected():
-    with pytest.raises(DistributionFormatError):
-        JointDistribution.from_csv([((0, 0), 0.5), ((0, 0), 0.5)])
-
-
-def test_from_csv_bad_sum_rejected():
-    rows = [((0, 0), 0.2), ((0, 1), 0.2), ((1, 0), 0.2), ((1, 1), 0.2)]
-    with pytest.raises(DistributionFormatError, match="sum"):
-        JointDistribution.from_csv(rows)
-
-
 # ---------------------------------------------------------------------------
 # CSV loader
 # ---------------------------------------------------------------------------
@@ -305,6 +295,16 @@ def test_from_csv_bad_sum_rejected():
 
 def _load(text: str) -> JointDistribution:
     return load_csv(io.StringIO(text))
+
+
+def test_load_csv_duplicate_state_rejected():
+    with pytest.raises(DistributionFormatError):
+        _load("x1,x2,p\n0,0,0.5\n0,0,0.5\n")
+
+
+def test_load_csv_bad_sum_rejected():
+    with pytest.raises(DistributionFormatError, match="sum"):
+        _load("x1,x2,p\n0,0,0.2\n0,1,0.2\n1,0,0.2\n1,1,0.2\n")
 
 
 def test_load_csv_with_probabilities():

@@ -20,7 +20,7 @@ from entroconj import (
     u_expression,
 )
 
-from helpers import random_distribution
+from helpers import random_distribution, unhalved_tse_expression
 
 
 def test_everything_collapses_to_mi_at_n2():
@@ -121,7 +121,7 @@ def test_tse_equal_bipartition_halving():
         c = to_u_basis(tse_expression(n))
         assert c.c == tuple(Fraction(k * (n - k), 2) for k in range(1, n))
     # without halving, n=2 overshoots the k=1 coefficient by exactly 2x
-    unhalved = tse_expression(2, halve_equal_bipartitions=False)
+    unhalved = unhalved_tse_expression(2)
     assert unhalved == u_expression(1, 2)
     assert unhalved == tse_expression(2) * 2
     assert to_u_basis(unhalved).c == (Fraction(1),)

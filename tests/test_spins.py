@@ -22,7 +22,8 @@ from entroconj import (
     u_expression,
 )
 from entroconj.algebra import SymmetryClass, UBasisVector
-from entroconj.spins import (
+
+from helpers import (
     linearly_separable,
     loading_skew_deviation,
     loading_symmetry_deviation,
@@ -280,6 +281,12 @@ def test_emit_is_byte_identical_across_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_manifest_with_retired_threshold_keys_still_loads():
+    # manifests written before the criterion-6 thresholds left the config
+    old = {**SMALL.to_dict(), "loading_symmetry_tol": 0.25, "variance_share_min": 0.9}
+    assert SpinEnsembleConfig.from_dict(old) == SMALL
+
+
 def test_manifest_round_trips_config(tmp_path):
     ensemble, result = run_experiment(SMALL)
     paths = emit_results(ensemble, result, tmp_path, SMALL)
@@ -302,3 +309,10 @@ def test_config_validation():
         SpinEnsembleConfig(systems_per_condition=0)
     with pytest.raises(ValueError):
         SpinEnsembleConfig(n=13)
+
+
+@pytest.mark.parametrize("field", ["beta", "mu", "sigma2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_parameters(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        SpinEnsembleConfig(**{field: value})
