@@ -12,6 +12,14 @@ H(X^{-a}) - H(X), where -a is the complement of a within {1..n}.  It is a
 linear involution that swaps low-order for high-order structure, and it acts
 on the u_k basis (averaged pairwise conditional mutual informations) by
 reversing indices: the conjugate of u_k is u_{n-k}.
+
+Both directions between the u_k basis and subset entropies go through one
+second difference.  With r_s the average entropy over size-s subsets
+(r_0 = 0), u_k = 2 r_k - r_{k-1} - r_{k+1}, so sum_k c_k u_k puts
+(2 c_s - c_{s-1} - c_{s+1}) / C(n,s) on every size-s subset (c_0 = c_n = 0).
+``u_expression`` and ``from_u_basis`` expand by that closed form and
+``to_u_basis`` solves it back; the definitional pair average is kept in the
+tests as the oracle ``definitional_u_expression``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -46,8 +53,6 @@ __all__ = [
     "from_u_basis",
     "classify",
     "sym_skew_decompose",
-    "u_inner_product",
-    "distinct_term_count",
     "span_dimensions",
     "expression_to_json",
     "expression_from_json",
@@ -102,10 +107,11 @@ class EntropyExpression:
         canonical: dict[int, Fraction] = {}
         if terms:
             for mask, coeff in terms.items():
-                mask = int(mask)
+                if type(mask) is not int:
+                    mask = int(mask)
                 if not 0 <= mask <= full:
                     raise ValueError(f"subset mask {mask} outside 0..{full}")
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if mask == 0 or c == 0:
                     continue  # H() = 0; zero coefficients are not stored
                 canonical[mask] = c
@@ -217,27 +223,38 @@ def mutual_information_expr(
     return EntropyExpression(n, terms)
 
 
+def _masks_of_size(n: int, s: int) -> list[int]:
+    """Bitmasks of every size-s subset of {1..n}, ascending (1 <= s <= n)."""
+    masks = []
+    mask, limit = (1 << s) - 1, 1 << n
+    while mask < limit:
+        masks.append(mask)
+        # next larger mask with the same popcount (Gosper's hack)
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+    return masks
+
+
 @lru_cache(maxsize=None)
 def u_expression(k: int, n: int) -> EntropyExpression:
     """The order-(k+1) interdependence average u_k as an entropy expression.
 
     u_k is the average of I(X_i ; X_j | X^a) over all pairs i < j and all
     (k-1)-subsets a avoiding i and j, normalised by C(n,k+1) * C(k+1,2).
+    It is built from the closed form u_k = 2 r_k - r_{k-1} - r_{k+1}:
+    2/C(n,k) on every size-k subset and -1/C(n,k-1), -1/C(n,k+1) on every
+    size-(k-1) and size-(k+1) subset (r_0 = 0 contributes nothing).  The
+    tests compare it with the pair average, ``definitional_u_expression``.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
-    acc: dict[int, Fraction] = defaultdict(Fraction)
-    for i, j in combinations(range(1, n + 1), 2):
-        bij = (1 << (i - 1)) | (1 << (j - 1))
-        rest = [v for v in range(1, n + 1) if v != i and v != j]
-        for a in combinations(rest, k - 1):
-            mc = subset_mask(a, n)
-            acc[mc | (1 << (i - 1))] += 1
-            acc[mc | (1 << (j - 1))] += 1
-            acc[mc | bij] -= 1
-            acc[mc] -= 1
-    norm = Fraction(1, comb(n, k + 1) * comb(k + 1, 2))
-    return EntropyExpression(n, {m: c * norm for m, c in acc.items()})
+    terms: dict[int, Fraction] = {}
+    for size, weight in ((k - 1, -1), (k, 2), (k + 1, -1)):
+        if size:
+            w = Fraction(weight, comb(n, size))
+            terms.update(dict.fromkeys(_masks_of_size(n, size), w))
+    return EntropyExpression(n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -247,10 +264,7 @@ def r_expression(k: int, n: int) -> EntropyExpression:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if k == 0:
         return EntropyExpression(n)
-    w = Fraction(1, comb(n, k))
-    return EntropyExpression(
-        n, {subset_mask(a, n): w for a in combinations(range(1, n + 1), k)}
-    )
+    return EntropyExpression(n, dict.fromkeys(_masks_of_size(n, k), Fraction(1, comb(n, k))))
 
 
 def is_label_symmetric(e: EntropyExpression) -> bool:
@@ -314,12 +328,27 @@ def to_u_basis(e: EntropyExpression) -> "UBasisVector":
 
 
 def from_u_basis(c: "UBasisVector") -> EntropyExpression:
-    """Expand u-basis coordinates back into an entropy expression."""
-    e = EntropyExpression(c.n)
+    """Expand u-basis coordinates back into an entropy expression.
+
+    Every u_k is label-symmetric, so its coefficient on the lowest size-s
+    mask is its weight on every size-s subset.  Summing c_k times those
+    weights gives each size-s subset (2 c_s - c_{s-1} - c_{s+1}) / C(n,s),
+    and the expression is built once from the per-size weights.
+    """
+    n = c.n
+    weight = [Fraction(0)] * (n + 1)
     for k, ck in enumerate(c.c, start=1):
         if ck:
-            e = e + u_expression(k, c.n) * ck
-    return e
+            u = u_expression(k, n)._terms
+            for s in range(1, n + 1):
+                w = u.get((1 << s) - 1)
+                if w is not None:
+                    weight[s] += ck * w
+    terms: dict[int, Fraction] = {}
+    for s in range(1, n + 1):
+        if weight[s]:
+            terms.update(dict.fromkeys(_masks_of_size(n, s), weight[s]))
+    return EntropyExpression(n, terms)
 
 
 @dataclass(frozen=True)
@@ -374,18 +403,6 @@ def sym_skew_decompose(
     conj = conjugate(e)
     half = Fraction(1, 2)
     return (e + conj) * half, (e - conj) * half
-
-
-def u_inner_product(c1: UBasisVector, c2: UBasisVector) -> Fraction:
-    """Inner product under which the u_k are orthonormal."""
-    if c1.n != c2.n:
-        raise ValueError(f"variable counts differ: {c1.n} vs {c2.n}")
-    return sum((x * y for x, y in zip(c1.c, c2.c)), Fraction(0))
-
-
-def distinct_term_count(e: EntropyExpression) -> int:
-    """Number of distinct entropy terms with nonzero coefficient."""
-    return len(e._terms)
 
 
 def span_dimensions(n: int) -> tuple[int, int]:

@@ -46,13 +46,16 @@ EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 
 
+# Every echo names its stream: without file=, click caches the current
+# sys.stdout/sys.stderr in a WeakKeyDictionary whose value is the stream
+# itself, so each redirected stream of an in-process run would live forever.
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2))
+    click.echo(json.dumps(obj, indent=2), file=sys.stdout)
 
 
 def _load_distribution(handle) -> JointDistribution:
@@ -246,6 +249,8 @@ def pid_verify_theorem1(n, a_text, b_text):
 @click.pass_context
 def pid_decompose(ctx, dist_file, tolerance):
     """Reference decomposition of a distribution (last variable = target)."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        _fail(EXIT_INPUT_ERROR, f"--tolerance must be finite and >= 0, got {tolerance}")
     dist = _load_distribution(dist_file)
     scale = _base_scale(ctx.obj["base"])
     try:

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
 
-from entroconj import EntropyExpression, JointDistribution, mutual_information_expr
+from entroconj import (
+    EntropyExpression,
+    JointDistribution,
+    UBasisVector,
+    mutual_information_expr,
+    subset_mask,
+)
 
 
 def xor_triple() -> JointDistribution:
@@ -98,6 +105,39 @@ def definitional_u_values(dist: JointDistribution) -> tuple[float, ...]:
                 total += h(mc | (1 << i)) + h(mc | (1 << j)) - h(mc | bij) - h(mc)
         out.append(total / (math.comb(n, k + 1) * math.comb(k + 1, 2)))
     return tuple(out)
+
+
+def definitional_u_expression(k: int, n: int) -> EntropyExpression:
+    """u_k as an entropy expression, straight from its definition.
+
+    Averages I(X_i ; X_j | X^a) over all pairs i < j and all (k-1)-subsets a
+    avoiding them, normalised by C(n,k+1) * C(k+1,2).  Exact, and kept apart
+    from the library's closed form so it can serve as an oracle for it.
+    """
+    acc: dict[int, Fraction] = defaultdict(Fraction)
+    for i, j in combinations(range(1, n + 1), 2):
+        bij = (1 << (i - 1)) | (1 << (j - 1))
+        rest = [v for v in range(1, n + 1) if v != i and v != j]
+        for a in combinations(rest, k - 1):
+            mc = subset_mask(a, n)
+            acc[mc | (1 << (i - 1))] += 1
+            acc[mc | (1 << (j - 1))] += 1
+            acc[mc | bij] -= 1
+            acc[mc] -= 1
+    norm = Fraction(1, math.comb(n, k + 1) * math.comb(k + 1, 2))
+    return EntropyExpression(n, {m: c * norm for m, c in acc.items()})
+
+
+def distinct_term_count(e: EntropyExpression) -> int:
+    """Number of distinct entropy terms with nonzero coefficient."""
+    return len(e)
+
+
+def u_inner_product(c1: UBasisVector, c2: UBasisVector) -> Fraction:
+    """Inner product under which the u_k are orthonormal."""
+    if c1.n != c2.n:
+        raise ValueError(f"variable counts differ: {c1.n} vs {c2.n}")
+    return sum((x * y for x, y in zip(c1.c, c2.c)), Fraction(0))
 
 
 def awkward_pmfs(rng: np.random.Generator, count: int) -> list[np.ndarray]:

@@ -41,7 +41,6 @@ from entroconj import (
     Metric,
     SpinEnsembleConfig,
     conjugate,
-    distinct_term_count,
     dual,
     emit_results,
     enumerate_atoms,
@@ -63,6 +62,7 @@ from entroconj.pid import atom_leq
 from helpers import (
     copy_triple,
     definitional_u_values,
+    distinct_term_count,
     linearly_separable,
     loading_skew_deviation,
     loading_symmetry_deviation,

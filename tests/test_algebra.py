@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroconj import (
+    METRIC_NAMES,
     EntropyExpression,
     NotInSpanError,
     NotLabelSymmetricError,
@@ -18,7 +19,6 @@ from entroconj import (
     UBasisVector,
     classify,
     conjugate,
-    distinct_term_count,
     entropy_term,
     expression_from_json,
     expression_to_json,
@@ -34,10 +34,9 @@ from entroconj import (
     sym_skew_decompose,
     to_u_basis,
     u_expression,
-    u_inner_product,
 )
 
-from helpers import rational_rank
+from helpers import definitional_u_expression, distinct_term_count, rational_rank, u_inner_product
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +97,21 @@ def test_canonical_form_drops_zero_terms_and_empty_set():
     e = EntropyExpression(3, {0b001: 0, 0b000: 5, 0b011: Fraction(1, 2)})
     assert dict(e.terms) == {0b011: Fraction(1, 2)}
     assert distinct_term_count(e) == 1
+
+
+def test_constructor_normalises_mask_and_coefficient_types():
+    e = EntropyExpression(
+        3, {np.int64(3): 1, True: "1/2", np.uint8(4): 0.25, 6: Fraction(-2, 3)}
+    )
+    assert dict(e.terms) == {
+        0b011: Fraction(1), 0b001: Fraction(1, 2), 0b100: Fraction(1, 4), 0b110: Fraction(-2, 3)
+    }
+    assert all(type(m) is int and type(c) is Fraction for m, c in e.terms.items())
+    zeros = EntropyExpression(3, {1: Fraction(0), 2: "0", 4: 0.0, np.int64(5): 0, 0: Fraction(7)})
+    assert zeros == EntropyExpression(3)
+    for bad in (8, -1, np.int64(8), (1 << 64)):
+        with pytest.raises(ValueError):
+            EntropyExpression(3, {bad: Fraction(1)})
 
 
 def test_expression_arithmetic_is_exact():
@@ -215,6 +229,12 @@ def test_u_expression_range_check():
         u_expression(3, 3)
 
 
+def test_u_expression_matches_the_pair_average():
+    for n in range(2, 9):
+        for k in range(1, n):
+            assert u_expression(k, n) == definitional_u_expression(k, n), (k, n)
+
+
 def test_u_conjugation_swaps_order():
     for n in range(2, 9):
         for k in range(1, n):
@@ -285,6 +305,27 @@ def test_from_u_basis_examples():
     assert from_u_basis(UBasisVector(4, (1, 0, 0))) == u_expression(1, 4)
     assert from_u_basis(UBasisVector(4, (3, 2, 1))) == metric_expression("tc", 4)
     assert from_u_basis(UBasisVector(3, (1, -1))) == metric_expression("oinfo", 3)
+
+
+def test_from_u_basis_of_metric_coefficients_is_the_metric_expansion():
+    for n in range(2, 13):
+        for name in METRIC_NAMES:
+            assert from_u_basis(metric_u_coefficients(name, n)) == metric_expression(name, n), (name, n)
+
+
+def test_from_u_basis_matches_the_pair_average_sum():
+    rng = np.random.default_rng(11)
+    for n in range(2, 8):
+        for _ in range(4):
+            c = tuple(
+                Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(n - 1)
+            )
+            if rng.random() < 0.5:
+                c = tuple(x if rng.random() < 0.5 else Fraction(0) for x in c)
+            expected = EntropyExpression(n)
+            for k, ck in enumerate(c, start=1):
+                expected = expected + definitional_u_expression(k, n) * ck
+            assert from_u_basis(UBasisVector(n, c)) == expected, c
 
 
 @given(u_vectors(max_n=6))

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
 
 from entroconj import expression_to_json, metric_expression
+from entroconj import cli
 from entroconj.cli import main
 
 XOR_CSV = "x1,x2,x3,p\n0,0,0,0.25\n0,1,1,0.25\n1,0,1,0.25\n1,1,0,0.25\n"
@@ -208,16 +213,35 @@ def test_pid_verify_theorem1_sweep_checks_source_count_first(runner, n):
     _assert_input_error(result, f"source count {n} outside 1..5")
 
 
-def test_tolerance_is_an_option_of_pid_decompose(runner, tmp_path):
+def test_tolerance_is_an_option_of_pid_decompose(runner, tmp_path, monkeypatch):
     assert "--tolerance" not in invoke(runner, ["--help"]).output
     assert "--tolerance" in invoke(runner, ["pid", "decompose", "--help"]).output
     path = tmp_path / "xor.csv"
     path.write_text(XOR_CSV)
     default = invoke(runner, ["pid", "decompose", str(path)])
     assert invoke(runner, ["pid", "decompose", "--tolerance", "1e-6", str(path)]).output == default.output
-    # no decomposition passes a negative tolerance, so the guard must trip
-    result = invoke(runner, ["pid", "decompose", "--tolerance", "-1", str(path)])
-    _assert_error(result, 3, "decomposition inconsistent")
+    assert invoke(runner, ["pid", "decompose", "--tolerance", "0", str(path)]).exit_code == 0
+    # a decomposition off by 1e-3 must trip the default guard and pass a looser one
+    exact = cli.reference_pid
+
+    def off_by_a_little(dist):
+        values = exact(dist)
+        atom = min(values, key=lambda f: f.table())
+        return {**values, atom: values[atom] + 1e-3}
+
+    monkeypatch.setattr(cli, "reference_pid", off_by_a_little)
+    _assert_error(invoke(runner, ["pid", "decompose", str(path)]), 3, "decomposition inconsistent")
+    assert invoke(runner, ["pid", "decompose", "--tolerance", "1e-2", str(path)]).exit_code == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_pid_decompose_refuses_bad_tolerance_before_reading(runner, tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,p\n0,zebra,1\n")
+    result = invoke(runner, ["pid", "decompose", "--tolerance", value, str(path)])
+    _assert_input_error(result, "--tolerance must be finite and >= 0")
+    assert "line" not in result.output
+    assert result.stdout == ""
 
 
 def test_pid_decompose_too_many_sources(runner, tmp_path):
@@ -231,6 +255,35 @@ def test_pid_decompose_too_many_sources(runner, tmp_path):
 def test_pid_bad_antichain(runner):
     result = runner.invoke(main, ["pid", "dual", "--n", "2", "--antichain", "oops"])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# in-process runs
+# ---------------------------------------------------------------------------
+
+
+def _run_redirected(args):
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, prog_name="entroconj")
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), weakref.ref(out), weakref.ref(err)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["pid", "list-atoms", "--n", "2"], 0),
+    (["pid", "verify-theorem1", "--n", "0"], 2),
+])
+def test_redirected_output_streams_are_released(args, code):
+    exit_code, stdout, stderr, out_ref, err_ref = _run_redirected(args)
+    assert exit_code == code
+    assert (stdout != "") == (code == 0)
+    assert stderr.startswith("error:") == (code != 0)
+    gc.collect()
+    assert out_ref() is None and err_ref() is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from entroconj import (
     Metric,
     SymmetryClass,
     conjugate,
-    distinct_term_count,
     metric_conjugation_class,
     metric_expression,
     metric_u_coefficients,
@@ -20,7 +19,7 @@ from entroconj import (
     u_expression,
 )
 
-from helpers import random_distribution, unhalved_tse_expression
+from helpers import distinct_term_count, random_distribution, unhalved_tse_expression
 
 
 def test_everything_collapses_to_mi_at_n2():

@@ -1,5 +1,6 @@
 """Tests of the package surface: its public names and what importing it costs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +36,22 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_click_echo_names_its_stream():
+    # without file=, click keeps each redirected sys.stdout/sys.stderr alive
+    # for the life of the process (see cli._fail)
+    package = Path(entroconj.__file__).resolve().parent
+    unnamed = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "echo"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "click"
+                and not any(kw.arg == "file" for kw in node.keywords)
+            ):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert unnamed == []
