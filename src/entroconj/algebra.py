@@ -30,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -82,7 +83,10 @@ def subset_mask(members: Iterable[int], n: int) -> int:
     """Bitmask for a set of 1-based variable indices."""
     mask = 0
     for i in members:
-        i = int(i)
+        if type(i) is not int:  # numpy integers pass; bool, float and str do not
+            if isinstance(i, bool) or not isinstance(i, Integral):
+                raise ValueError(f"variable index {i!r} is not an integer")
+            i = int(i)
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
         mask |= 1 << (i - 1)

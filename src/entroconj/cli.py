@@ -73,12 +73,14 @@ def _read_expression(handle):
         _fail(EXIT_INPUT_ERROR, f"bad expression JSON: {exc}")
 
 
-def _parse_index_list(text: str, what: str) -> list[int]:
+def _parse_index_list(text: str, what: str) -> list:
     try:
         value = json.loads(text)
-        return [int(x) for x in value]
-    except (json.JSONDecodeError, TypeError, ValueError):
+    except json.JSONDecodeError:
+        value = None
+    if not isinstance(value, list):
         _fail(EXIT_INPUT_ERROR, f"{what} must be a JSON list of integers, got {text!r}")
+    return value
 
 
 def _atom_json(f, value: float | None = None) -> dict:

@@ -47,6 +47,11 @@ AntichainLike = Iterable[Iterable[int]]
 Antichain = tuple[tuple[int, ...], ...]
 
 
+# _LOW[n][b] for n <= 10: the truth-table positions m < 2^n whose subset lacks
+# source b + 1, (2^(2^n) - 1) / (2^(2^b) + 1), runs of 2^b ones and 2^b zeros
+_LOW = [[((1 << (1 << n)) - 1) // ((1 << (1 << b)) + 1) for b in range(n)] for n in range(11)]
+
+
 @dataclass(frozen=True)
 class MonotoneBooleanFunction:
     """A nonconstant monotone map from source subsets to {0, 1}.
@@ -60,18 +65,17 @@ class MonotoneBooleanFunction:
     bits: int
 
     def __post_init__(self):
-        size = 1 << self.n
         if not 1 <= self.n <= 10:
             raise ValueError(f"source count {self.n} outside 1..10")
-        if not 0 <= self.bits < (1 << size):
+        full = (1 << (1 << self.n)) - 1
+        if not 0 <= self.bits <= full:
             raise ValueError("truth table does not fit the source count")
-        if self.bits == 0 or self.bits == (1 << size) - 1:
+        if self.bits == 0 or self.bits == full:
             raise ValueError("constant functions are not atoms")
-        for mask in range(size):
-            fm = (self.bits >> mask) & 1
-            for b in range(self.n):
-                if (mask >> b) & 1 and (self.bits >> (mask ^ (1 << b))) & 1 > fm:
-                    raise ValueError("truth table is not monotone")
+        # adding source b moves position m to m + 2^b: f must stay 1 there
+        for b, low in enumerate(_LOW[self.n]):
+            if (self.bits & low) << (1 << b) & ~self.bits:
+                raise ValueError("truth table is not monotone")
 
     def value(self, mask: int) -> int:
         """f at a source-subset bitmask."""
@@ -79,51 +83,42 @@ class MonotoneBooleanFunction:
 
     def table(self) -> str:
         """Truth table as a 0/1 string in mask order."""
-        return "".join(str((self.bits >> m) & 1) for m in range(1 << self.n))
+        return format(self.bits, f"0{1 << self.n}b")[::-1]
+
+
+def _dual_tables(tables, n: int):
+    """Dual of packed truth tables (a Python int or a numpy array).
+
+    Complementing every argument swaps positions m and m ^ 2^b for each b,
+    which reverses the table; then the output is flipped.
+    """
+    for b, low in enumerate(_LOW[n]):
+        width = 1 << b
+        tables = (tables & low) << width | (tables >> width) & low
+    return tables ^ ((1 << (1 << n)) - 1)
+
+
+def _atom_tables(n: int) -> np.ndarray:
+    """Packed truth tables of ``enumerate_atoms(n)``, in the same order.
+
+    Shannon expansion on the last source: a monotone table over k + 1
+    sources is f0 | f1 << 2^k for monotone f0 <= f1 (constants included)
+    over k sources.  Row-major ``np.nonzero`` over the sorted (f0, f1) grid
+    keeps lexicographic ``table()`` order: the constants are first and last.
+    """
+    if not 1 <= n <= MAX_ENUM_SOURCES:
+        raise ValueError(f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
+    tables = np.array([0, 1], dtype=np.uint64)
+    for k in range(n):
+        f0, f1 = np.nonzero(tables[:, None] & ~tables[None, :] == 0)
+        tables = tables[f0] | tables[f1] << (1 << k)
+    return tables[1:-1]
 
 
 @lru_cache(maxsize=None)
 def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
-    """All atoms over n sources, in lexicographic truth-table order.
-
-    Walks masks in increasing numeric order (every subset of a mask is
-    numerically smaller, so all constraints point backwards) and branches
-    only where monotonicity leaves the value free.  The two constant
-    functions are dropped at the end.
-    """
-    if not 1 <= n <= MAX_ENUM_SOURCES:
-        raise ValueError(f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
-    size = 1 << n
-    table = [0] * size
-    results: list[int] = []
-
-    def extend(mask: int) -> None:
-        if mask == size:
-            bits = 0
-            for m, v in enumerate(table):
-                bits |= v << m
-            results.append(bits)
-            return
-        forced = any(
-            table[mask ^ (1 << b)] for b in range(n) if (mask >> b) & 1
-        )
-        if forced:
-            table[mask] = 1
-            extend(mask + 1)
-        else:
-            table[mask] = 0
-            extend(mask + 1)
-            table[mask] = 1
-            extend(mask + 1)
-
-    extend(0)
-    atoms = [
-        MonotoneBooleanFunction(n, bits)
-        for bits in results
-        if bits != 0 and bits != (1 << size) - 1
-    ]
-    atoms.sort(key=lambda f: f.table())
-    return tuple(atoms)
+    """All atoms over n sources, in lexicographic truth-table order."""
+    return tuple(MonotoneBooleanFunction(n, bits) for bits in _atom_tables(n).tolist())
 
 
 def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction:
@@ -144,34 +139,30 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
                     f"{mask_members(m1)} and {mask_members(m2)} are nested: "
                     "antichain members must be incomparable"
                 )
+    if not 1 <= n <= 10:  # the constructor's range, before any 2^n-bit table
+        raise ValueError(f"source count {n} outside 1..10")
+    full = (1 << (1 << n)) - 1
     bits = 0
-    for mask in range(1 << n):
-        if any(m & mask == m for m in masks):
-            bits |= 1 << mask
+    for mask in masks:
+        supersets = full
+        for b in mask_members(mask):
+            supersets &= ~_LOW[n][b - 1]
+        bits |= supersets
     return MonotoneBooleanFunction(n, bits)
 
 
 def bf_to_antichain(f: MonotoneBooleanFunction) -> Antichain:
     """The minimal accessible sets of an atom, as sorted index tuples."""
-    minimal = []
-    for mask in range(1, 1 << f.n):
-        if not f.value(mask):
-            continue
-        if any(f.value(mask ^ (1 << b)) for b in range(f.n) if (mask >> b) & 1):
-            continue
-        minimal.append(mask_members(mask))
-    return tuple(sorted(minimal))
+    one_below = 0  # positions with a one at the subset lacking some source
+    for b, low in enumerate(_LOW[f.n]):
+        one_below |= (f.bits & low) << (1 << b)
+    minimal = f.bits & ~one_below
+    return tuple(sorted(mask_members(m) for m in range(1 << f.n) if (minimal >> m) & 1))
 
 
 def dual(f: MonotoneBooleanFunction) -> MonotoneBooleanFunction:
     """Order-reversing involution: f~(a) = 1 iff f(complement of a) = 0."""
-    size = 1 << f.n
-    full = size - 1
-    bits = 0
-    for mask in range(size):
-        if not f.value(full ^ mask):
-            bits |= 1 << mask
-    return MonotoneBooleanFunction(f.n, bits)
+    return MonotoneBooleanFunction(f.n, _dual_tables(f.bits, f.n))
 
 
 def atom_leq(f: MonotoneBooleanFunction, g: MonotoneBooleanFunction) -> bool:
@@ -191,9 +182,14 @@ def cmi_atom_set(
         raise ValueError("index sets must be disjoint")
     if not ma:
         raise ValueError("the first index set must be nonempty")
-    return tuple(
-        f for f in enumerate_atoms(n) if f.value(ma | mb) and not f.value(mb)
-    )
+    tables = _atom_tables(n)
+    rows = np.flatnonzero((tables >> (ma | mb) & 1) > (tables >> mb & 1))
+    atoms = enumerate_atoms(n)
+    return tuple(atoms[i] for i in rows.tolist())
+
+
+def _packed(atoms: Iterable[MonotoneBooleanFunction]) -> np.ndarray:
+    return np.array([f.bits for f in atoms], dtype=np.uint64)
 
 
 def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> bool:
@@ -202,14 +198,11 @@ def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> boo
     True iff dualising the atoms of I(X^a ; Y | X^b) yields exactly the
     atoms of I(X^a ; Y | X^{(a u b)^C}), the complement taken within the
     sources.  Holds for every disjoint pair by order duality; this verifies
-    it by direct enumeration.
+    it by direct enumeration, comparing packed truth tables.
     """
-    ma = subset_mask(a, n)
-    mb = subset_mask(b, n)
-    full = (1 << n) - 1
-    dualised = {dual(f) for f in cmi_atom_set(n, a, b)}
-    complement = mask_members(full ^ (ma | mb))
-    return dualised == set(cmi_atom_set(n, a, complement))
+    complement = mask_members(((1 << n) - 1) ^ (subset_mask(a, n) | subset_mask(b, n)))
+    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b)), n)
+    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement))))
 
 
 def _specific_information_bits(

@@ -255,3 +255,82 @@ def linearly_separable(points_a: np.ndarray, points_b: np.ndarray) -> bool:
         method="highs",
     )
     return res.status == 0
+
+
+# ---------------------------------------------------------------------------
+# atom-lattice oracles: per-mask loops over the truth table, kept apart from
+# the library's packed shift-and-mask operations so they can check them
+# ---------------------------------------------------------------------------
+
+
+def oracle_table_error(n: int, bits: int) -> str | None:
+    """Why ``MonotoneBooleanFunction(n, bits)`` must refuse, or None to accept."""
+    if not 1 <= n <= 10:
+        return f"source count {n} outside 1..10"
+    size = 1 << n
+    if not 0 <= bits < (1 << size):
+        return "truth table does not fit the source count"
+    if bits == 0 or bits == (1 << size) - 1:
+        return "constant functions are not atoms"
+    for mask in range(size):
+        fm = (bits >> mask) & 1
+        for b in range(n):
+            if (mask >> b) & 1 and (bits >> (mask ^ (1 << b))) & 1 > fm:
+                return "truth table is not monotone"
+    return None
+
+
+def oracle_table(n: int, bits: int) -> str:
+    """Truth table as a 0/1 string, position 0 first."""
+    return "".join(str((bits >> m) & 1) for m in range(1 << n))
+
+
+def oracle_atoms(n: int) -> list[int]:
+    """Packed tables of every atom over n sources, in lexicographic table order.
+
+    Walks masks in increasing numeric order (every subset of a mask is
+    numerically smaller, so all constraints point backwards) and branches
+    only where monotonicity leaves the value free.  The two constant
+    functions are dropped at the end.
+    """
+    size = 1 << n
+    table = [0] * size
+    results: list[int] = []
+
+    def extend(mask: int) -> None:
+        if mask == size:
+            results.append(sum(v << m for m, v in enumerate(table)))
+            return
+        forced = any(table[mask ^ (1 << b)] for b in range(n) if (mask >> b) & 1)
+        for value in (1,) if forced else (0, 1):
+            table[mask] = value
+            extend(mask + 1)
+
+    extend(0)
+    atoms = [bits for bits in results if bits != 0 and bits != (1 << size) - 1]
+    return sorted(atoms, key=lambda bits: oracle_table(n, bits))
+
+
+def oracle_dual(n: int, bits: int) -> int:
+    """Packed dual table: f~(a) = 1 iff f(complement of a) = 0."""
+    full = (1 << n) - 1
+    return sum(1 << mask for mask in range(1 << n) if not (bits >> (full ^ mask)) & 1)
+
+
+def oracle_antichain(n: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Minimal sets with f = 1, as sorted 1-based index tuples."""
+    minimal = []
+    for mask in range(1, 1 << n):
+        if not (bits >> mask) & 1:
+            continue
+        if any((bits >> (mask ^ (1 << b))) & 1 for b in range(n) if (mask >> b) & 1):
+            continue
+        minimal.append(tuple(i + 1 for i in range(n) if (mask >> i) & 1))
+    return tuple(sorted(minimal))
+
+
+def oracle_antichain_table(n: int, antichain) -> int:
+    """Packed table of the up-set of an antichain: f(a) = 1 iff a member lies in a."""
+    masks = [sum(1 << (i - 1) for i in member) for member in antichain]
+    return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
+

@@ -93,6 +93,17 @@ def test_subset_mask_round_trip():
         subset_mask([4], 3)
 
 
+@pytest.mark.parametrize("member", [1.0, 1.5, True, np.bool_(True), "1", None])
+def test_subset_mask_refuses_non_integer_members(member):
+    with pytest.raises(ValueError, match="is not an integer"):
+        subset_mask([member], 3)
+
+
+def test_subset_mask_accepts_numpy_integers():
+    mask = subset_mask([np.int64(3), np.uint8(1)], 3)
+    assert mask == 0b101 and type(mask) is int
+
+
 def test_canonical_form_drops_zero_terms_and_empty_set():
     e = EntropyExpression(3, {0b001: 0, 0b000: 5, 0b011: Fraction(1, 2)})
     assert dict(e.terms) == {0b011: Fraction(1, 2)}

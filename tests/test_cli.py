@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import time
 import weakref
 
 import pytest
@@ -255,6 +256,40 @@ def test_pid_decompose_too_many_sources(runner, tmp_path):
 def test_pid_bad_antichain(runner):
     result = runner.invoke(main, ["pid", "dual", "--n", "2", "--antichain", "oops"])
     assert result.exit_code == 2
+
+
+def test_pid_dual_checks_source_count_before_building_the_table(runner):
+    start = time.perf_counter()
+    result = invoke(runner, ["pid", "dual", "--n", "64", "--antichain", "[[1]]"])
+    assert time.perf_counter() - start < 1.0
+    _assert_input_error(result, "source count 64 outside 1..10")
+
+
+@pytest.mark.parametrize("command, a, b, needle", [
+    ("verify-theorem1", "[1.5]", "[2.9]", "variable index 1.5 is not an integer"),
+    ("verify-theorem1", "[true]", "[]", "variable index True is not an integer"),
+    ("cmi-set", "[1]", "[2.0]", "variable index 2.0 is not an integer"),
+    ("cmi-set", '["1"]', "[]", "variable index '1' is not an integer"),
+    ("cmi-set", '"12"', "[]", "--a must be a JSON list of integers"),
+    ("cmi-set", "[1]", '{"2": 0}', "--b must be a JSON list of integers"),
+])
+def test_pid_source_index_lists_refuse_non_integers(runner, command, a, b, needle):
+    result = invoke(runner, ["pid", command, "--n", "3", "--a", a, "--b", b])
+    _assert_input_error(result, needle)
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("antichain, needle", [("[[1.5]]", "1.5"), ("[[true, 2]]", "True")])
+def test_pid_antichain_refuses_non_integers(runner, antichain, needle):
+    result = invoke(runner, ["pid", "dual", "--n", "3", "--antichain", antichain])
+    _assert_input_error(result, f"variable index {needle} is not an integer")
+
+
+@pytest.mark.parametrize("subset, needle", [([1.7], "1.7"), ([True, 3], "True")])
+def test_expression_json_refuses_non_integer_members(runner, tmp_path, subset, needle):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": 3, "terms": [{"subset": subset, "coeff": "1"}]}))
+    _assert_input_error(invoke(runner, ["conjugate", str(path)]), f"variable index {needle} is not an integer")
 
 
 # ---------------------------------------------------------------------------

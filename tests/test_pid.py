@@ -19,27 +19,32 @@ from entroconj import (
 )
 from entroconj.pid import atom_leq
 
-from helpers import copy_triple, random_distribution, xor_triple
+from helpers import (
+    copy_triple,
+    oracle_antichain,
+    oracle_antichain_table,
+    oracle_atoms,
+    oracle_dual,
+    oracle_table,
+    oracle_table_error,
+    random_distribution,
+    xor_triple,
+)
 
 TOL = 1e-9
 
 
 def brute_force_atoms(n: int) -> set[int]:
     """Oracle: scan every truth table for monotone nonconstant ones."""
-    size = 1 << n
-    found = set()
-    for bits in range(1, (1 << size) - 1):
-        ok = True
-        for mask in range(size):
-            for b in range(n):
-                if (mask >> b) & 1 and (bits >> (mask ^ (1 << b))) & 1 > (bits >> mask) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(bits)
-    return found
+    return {bits for bits in range(1 << (1 << n)) if oracle_table_error(n, bits) is None}
+
+
+def constructor_error(n: int, bits: int) -> str | None:
+    try:
+        MonotoneBooleanFunction(n, bits)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +64,48 @@ def test_atom_count_n5():
 
 
 def test_enumeration_matches_brute_force():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert {f.bits for f in enumerate_atoms(n)} == brute_force_atoms(n)
 
 
 def test_enumeration_is_sorted_and_deduplicated():
-    atoms = enumerate_atoms(3)
-    tables = [f.table() for f in atoms]
-    assert tables == sorted(tables)
-    assert len(set(tables)) == len(tables)
+    for n in (1, 2, 3, 4, 5):
+        tables = [f.table() for f in enumerate_atoms(n)]
+        assert tables == sorted(tables)
+        assert len(set(tables)) == len(tables)
+
+
+def test_enumeration_matches_the_depth_first_oracle():
+    for n in (1, 2, 3, 4, 5):
+        assert [f.bits for f in enumerate_atoms(n)] == oracle_atoms(n)
+
+
+def test_packed_operations_match_their_oracles():
+    for n in (1, 2, 3, 4, 5):
+        for f in enumerate_atoms(n):
+            assert f.table() == oracle_table(n, f.bits)
+            assert dual(f).bits == oracle_dual(n, f.bits)
+            antichain = oracle_antichain(n, f.bits)
+            assert bf_to_antichain(f) == antichain
+            assert antichain_to_bf(antichain, n).bits == oracle_antichain_table(n, antichain) == f.bits
+
+
+def test_constructor_matches_the_oracle_on_every_n4_table():
+    for bits in range(-1, (1 << 16) + 1):
+        assert constructor_error(4, bits) == oracle_table_error(4, bits), bits
+
+
+def test_constructor_matches_the_oracle_on_random_n5_tables():
+    rng = np.random.default_rng(5)
+    atoms = [f.bits for f in enumerate_atoms(5)]
+    # random tables are almost never monotone, so also flip one bit of an atom
+    picks = zip(rng.integers(0, len(atoms), 5000), rng.integers(0, 32, 5000))
+    near = [atoms[i] ^ (1 << int(m)) for i, m in picks]
+    random = [int(x) for x in rng.integers(0, 1 << 32, 20000, dtype=np.uint64)]
+    for bits in near + random + [-1, 0, (1 << 32) - 1, 1 << 32]:
+        assert constructor_error(5, bits) == oracle_table_error(5, bits), bits
+    for n in (0, 11, -3):
+        assert constructor_error(n, 1) == oracle_table_error(n, 1)
 
 
 def test_enumeration_range_check():
@@ -172,13 +210,24 @@ def test_theorem1_sets_pairwise():
 
 
 def test_theorem1_sets_exhaustive():
-    for n in (2, 3, 4):
-        for amask in range(1, 1 << n):
-            a = [i + 1 for i in range(n) if (amask >> i) & 1]
-            rest = [i + 1 for i in range(n) if not (amask >> i) & 1]
-            for r in range(len(rest) + 1):
-                for b in combinations(rest, r):
-                    assert verify_theorem1_sets(n, a, b), (n, a, b)
+    # every disjoint pair; cmi sets and duals checked against the per-mask oracles
+    for n in (1, 2, 3, 4, 5):
+        atoms = oracle_atoms(n)
+        full = (1 << n) - 1
+        for ma in range(1, 1 << n):
+            for mb in range(1 << n):
+                if ma & mb:
+                    continue
+                a = [i + 1 for i in range(n) if (ma >> i) & 1]
+                b = [i + 1 for i in range(n) if (mb >> i) & 1]
+                selected = [t for t in atoms if (t >> (ma | mb)) & 1 and not (t >> mb) & 1]
+                assert [f.bits for f in cmi_atom_set(n, a, b)] == selected
+                assert verify_theorem1_sets(n, a, b) is True, (n, a, b)
+                if n == 5:  # the per-mask dual oracle is too slow for the n = 5 sweep
+                    continue
+                mc = full ^ (ma | mb)
+                complement = {t for t in atoms if (t >> (ma | mc)) & 1 and not (t >> mc) & 1}
+                assert {oracle_dual(n, t) for t in selected} == complement
 
 
 # ---------------------------------------------------------------------------
