@@ -79,14 +79,19 @@ class NotInSpanError(ValueError):
         self.residual = residual
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int: numpy integers pass; bool, float and str do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def subset_mask(members: Iterable[int], n: int) -> int:
     """Bitmask for a set of 1-based variable indices."""
     mask = 0
     for i in members:
-        if type(i) is not int:  # numpy integers pass; bool, float and str do not
-            if isinstance(i, bool) or not isinstance(i, Integral):
-                raise ValueError(f"variable index {i!r} is not an integer")
-            i = int(i)
+        if type(i) is not int:
+            i = _as_int(i, "variable index")
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
         mask |= 1 << (i - 1)
@@ -427,12 +432,35 @@ def expression_to_json(e: EntropyExpression) -> dict:
     }
 
 
+_MAX_COEFF_DIGITS = 4300  # CPython's default int <-> str conversion limit
+_COEFF_BOUND = 10**_MAX_COEFF_DIGITS
+
+
+def _parse_coefficient(text: str) -> Fraction:
+    """Exact coefficient from its text, refused if it could not be printed back.
+
+    Each part of a mantissa holds at most _MAX_COEFF_DIGITS digits, so an
+    exponent past twice that is refused before Fraction multiplies it out.
+    """
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        too_far = bool(e) and abs(int(exponent)) > 2 * _MAX_COEFF_DIGITS
+    except ValueError:  # not an exponent: Fraction reports the bad text
+        too_far = False
+    if too_far:
+        raise ValueError(f"coefficient exponent {exponent.strip()} is out of range")
+    coeff = Fraction(text)
+    if max(abs(coeff.numerator), coeff.denominator) >= _COEFF_BOUND:
+        raise ValueError(f"coefficient has more than {_MAX_COEFF_DIGITS} digits")
+    return coeff
+
+
 def expression_from_json(obj: dict) -> EntropyExpression:
     """Parse the JSON form produced by :func:`expression_to_json`."""
     if not isinstance(obj, Mapping):
         raise ValueError("expression JSON must be an object")
     try:
-        n = int(obj["n"])
+        n = _as_int(obj["n"], '"n"')
         raw_terms = obj["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed expression JSON: {exc}") from exc
@@ -442,7 +470,7 @@ def expression_from_json(obj: dict) -> EntropyExpression:
     for idx, entry in enumerate(raw_terms):
         try:
             members = entry["subset"]
-            coeff = Fraction(str(entry["coeff"]))
+            coeff = _parse_coefficient(str(entry["coeff"]))
             mask = subset_mask(members, n)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed term {idx}: {exc}") from exc

@@ -224,12 +224,16 @@ class JointDistribution:
         return self._entropy_bits(subset_mask(members, self.n)) * _base_scale(base)
 
     def evaluate(self, expr: EntropyExpression, base: float = 2.0) -> float:
-        """Value of a symbolic expression on this distribution."""
+        """Value of a symbolic expression on this distribution.
+
+        ``math.fsum`` adds the terms exactly, so their order cannot change the
+        result and alternating sums such as ii lose no digits to cancellation.
+        """
         if expr.n != self.n:
             raise ValueError(
                 f"expression has {expr.n} variables, distribution has {self.n}"
             )
-        total = sum(float(c) * self._entropy_bits(mask) for mask, c in expr.terms.items())
+        total = math.fsum(float(c) * self._entropy_bits(mask) for mask, c in expr.terms.items())
         return total * _base_scale(base)
 
     def u_values(self, base: float = 2.0) -> tuple[float, ...]:

@@ -115,11 +115,8 @@ def sample_couplings(
     n = config.n
     draws = rng.normal(mean, math.sqrt(config.sigma2), size=n * (n - 1) // 2)
     J = np.zeros((n, n))
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            J[i, j] = J[j, i] = draws[idx]
-            idx += 1
+    rows, cols = np.triu_indices(n, 1)  # row-major, the order of the draws
+    J[rows, cols] = J[cols, rows] = draws
     return J
 
 

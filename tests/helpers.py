@@ -13,7 +13,9 @@ from scipy.optimize import linprog
 from entroconj import (
     EntropyExpression,
     JointDistribution,
+    Metric,
     UBasisVector,
+    entropy_term,
     mutual_information_expr,
     subset_mask,
 )
@@ -204,19 +206,70 @@ def rational_rank(rows) -> int:
     return rank
 
 
+def _weighted_sum(n: int, parts) -> EntropyExpression:
+    """Sum of w * e over (w, e) pairs, accumulated in one pass."""
+    acc: dict[int, Fraction] = defaultdict(Fraction)
+    for w, e in parts:
+        for mask, c in e.terms.items():
+            acc[mask] += w * c
+    return EntropyExpression(n, acc)
+
+
+def _tse_parts(n: int, halve_equal_split: bool):
+    """(C(n,k)^{-1}, I(X^a ; X^{-a})) for every a with 1 <= |a| <= n/2."""
+    everyone = range(1, n + 1)
+    for k in range(1, n // 2 + 1):
+        w = Fraction(1, math.comb(n, k))
+        if halve_equal_split and 2 * k == n:
+            w /= 2
+        for a in combinations(everyone, k):
+            rest = [i for i in everyone if i not in a]
+            yield w, mutual_information_expr(n, a, rest)
+
+
 def unhalved_tse_expression(n: int) -> EntropyExpression:
     """TSE sum over ordered sides: for even n each equal split counts twice.
 
     Sums C(n,k)^{-1} * I(X^a ; X^{-a}) over every a with 1 <= |a| <= n/2,
-    without the library's weight 1/2 on the |a| = n/2 bipartitions.
+    without the weight 1/2 on the |a| = n/2 bipartitions.
     """
+    return _weighted_sum(n, _tse_parts(n, halve_equal_split=False))
+
+
+def definitional_metric_expression(metric, n: int) -> EntropyExpression:
+    """A named metric expanded into subset entropies from its definition.
+
+    Built from single entropies and mutual informations only, so it shares
+    nothing with the library's u-basis closed forms and can serve as their
+    oracle.  TSE halves the weight of the equal bipartitions of even n, so
+    each unordered bipartition counts once.
+    """
+    metric = Metric(metric)
+    if n < 2:
+        raise ValueError("metrics need at least two variables")
     everyone = range(1, n + 1)
-    total = EntropyExpression(n)
-    for k in range(1, n // 2 + 1):
-        for a in combinations(everyone, k):
-            rest = [i for i in everyone if i not in a]
-            total = total + mutual_information_expr(n, a, rest) * Fraction(1, math.comb(n, k))
-    return total
+    whole = entropy_term(n, everyone)
+    others = [[i for i in everyone if i != j] for j in everyone]
+    if metric is Metric.TC:  # sum_j H(X_j) - H(X)
+        parts = [(1, entropy_term(n, [j])) for j in everyone] + [(-1, whole)]
+    elif metric is Metric.DTC:  # H(X) - sum_j H(X_j | X^{-j})
+        parts = [(1, whole)] + [(-1, whole - entropy_term(n, rest)) for rest in others]
+    elif metric is Metric.TSE:  # bipartition-averaged mutual information
+        parts = _tse_parts(n, halve_equal_split=True)
+    elif metric is Metric.S_INFO:  # sum_j I(X_j ; X^{-j})
+        parts = [(1, mutual_information_expr(n, [j], rest)) for j, rest in zip(everyone, others)]
+    elif metric is Metric.O_INFO:  # tc - dtc
+        parts = [
+            (1, definitional_metric_expression(Metric.TC, n)),
+            (-1, definitional_metric_expression(Metric.DTC, n)),
+        ]
+    else:  # ii: alternating inclusion-exclusion over all nonempty subsets
+        parts = [
+            ((-1) ** (k + 1), entropy_term(n, a))
+            for k in everyone
+            for a in combinations(everyone, k)
+        ]
+    return _weighted_sum(n, parts)
 
 
 def loading_symmetry_deviation(loadings) -> float:

@@ -52,7 +52,6 @@ from entroconj import (
     run_experiment,
     span_dimensions,
     to_u_basis,
-    tse_expression,
     u_expression,
     verify_theorem1_sets,
 )
@@ -61,6 +60,7 @@ from entroconj.pid import atom_leq
 
 from helpers import (
     copy_triple,
+    definitional_metric_expression,
     definitional_u_values,
     distinct_term_count,
     linearly_separable,
@@ -102,18 +102,18 @@ def test_criterion_1_symbolic_identity_suite():
     # (b) all six closed-form decompositions match the definitions
     for n in range(2, 9):
         for metric in Metric:
-            assert to_u_basis(metric_expression(metric, n)) == metric_u_coefficients(
+            assert to_u_basis(definitional_metric_expression(metric, n)) == metric_u_coefficients(
                 metric, n
             ), (metric, n)
 
-    # (c) the five conjugation identities
+    # (c) the five conjugation identities, on the definitional expansions
     for n in range(2, 9):
-        tc = metric_expression("tc", n)
-        dtc = metric_expression("dtc", n)
-        sigma = metric_expression("sinfo", n)
-        tse = metric_expression("tse", n)
-        omega = metric_expression("oinfo", n)
-        ii = metric_expression("ii", n)
+        tc = definitional_metric_expression("tc", n)
+        dtc = definitional_metric_expression("dtc", n)
+        sigma = definitional_metric_expression("sinfo", n)
+        tse = definitional_metric_expression("tse", n)
+        omega = definitional_metric_expression("oinfo", n)
+        ii = definitional_metric_expression("ii", n)
         assert conjugate(tc) == dtc
         assert conjugate(sigma) == sigma
         assert conjugate(tse) == tse
@@ -123,10 +123,10 @@ def test_criterion_1_symbolic_identity_suite():
     # (d) the symmetric/skew split of tc and dtc
     half = Fraction(1, 2)
     for n in range(2, 9):
-        sigma = metric_expression("sinfo", n)
-        omega = metric_expression("oinfo", n)
-        assert metric_expression("tc", n) == (sigma + omega) * half
-        assert metric_expression("dtc", n) == (sigma - omega) * half
+        sigma = definitional_metric_expression("sinfo", n)
+        omega = definitional_metric_expression("oinfo", n)
+        assert definitional_metric_expression("tc", n) == (sigma + omega) * half
+        assert definitional_metric_expression("dtc", n) == (sigma - omega) * half
 
     # (e) conjugation is a linear involution on 1000 random expressions
     rng = np.random.default_rng(2024)
@@ -453,14 +453,14 @@ def test_criterion_7_tse_even_n_reconciliation():
             decomposition = decomposition + u_expression(k, n) * Fraction(
                 k * (n - k), 2
             )
-        assert tse_expression(n) == decomposition
+        assert definitional_metric_expression("tse", n) == decomposition
 
     # the unhalved reading double counts the equal split: at n=2 it
     # overshoots the k=1 term by exactly a factor of two
     unhalved = unhalved_tse_expression(2)
     assert unhalved == u_expression(1, 2)
-    assert unhalved == tse_expression(2) * 2
+    assert unhalved == definitional_metric_expression("tse", 2) * 2
     assert to_u_basis(unhalved).c == (Fraction(1),)
-    assert to_u_basis(tse_expression(2)).c == (Fraction(1, 2),)
+    assert to_u_basis(definitional_metric_expression("tse", 2)).c == (Fraction(1, 2),)
 
     _report("7 (TSE even-n reconciliation)", True, time.perf_counter() - t0)

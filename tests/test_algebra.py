@@ -36,7 +36,13 @@ from entroconj import (
     u_expression,
 )
 
-from helpers import definitional_u_expression, distinct_term_count, rational_rank, u_inner_product
+from helpers import (
+    definitional_metric_expression,
+    definitional_u_expression,
+    distinct_term_count,
+    rational_rank,
+    u_inner_product,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +291,8 @@ def test_is_label_symmetric_rejects_unequal_coefficients():
 
 
 def test_to_u_basis_known_vectors():
-    assert to_u_basis(metric_expression("tc", 3)).c == (Fraction(2), Fraction(1))
-    assert to_u_basis(metric_expression("sinfo", 3)).c == (Fraction(3), Fraction(3))
+    assert to_u_basis(definitional_metric_expression("tc", 3)).c == (Fraction(2), Fraction(1))
+    assert to_u_basis(definitional_metric_expression("sinfo", 3)).c == (Fraction(3), Fraction(3))
 
 
 def test_to_u_basis_rejects_non_symmetric():
@@ -314,14 +320,16 @@ def test_not_in_span_matches_numeric_dependency_failure():
 
 def test_from_u_basis_examples():
     assert from_u_basis(UBasisVector(4, (1, 0, 0))) == u_expression(1, 4)
-    assert from_u_basis(UBasisVector(4, (3, 2, 1))) == metric_expression("tc", 4)
-    assert from_u_basis(UBasisVector(3, (1, -1))) == metric_expression("oinfo", 3)
+    assert from_u_basis(UBasisVector(4, (3, 2, 1))) == definitional_metric_expression("tc", 4)
+    assert from_u_basis(UBasisVector(3, (1, -1))) == definitional_metric_expression("oinfo", 3)
 
 
 def test_from_u_basis_of_metric_coefficients_is_the_metric_expansion():
     for n in range(2, 13):
         for name in METRIC_NAMES:
-            assert from_u_basis(metric_u_coefficients(name, n)) == metric_expression(name, n), (name, n)
+            expected = definitional_metric_expression(name, n)
+            assert from_u_basis(metric_u_coefficients(name, n)) == expected, (name, n)
+            assert metric_expression(name, n) == expected, (name, n)
 
 
 def test_from_u_basis_matches_the_pair_average_sum():

@@ -5,8 +5,12 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -290,6 +294,73 @@ def test_expression_json_refuses_non_integer_members(runner, tmp_path, subset, n
     path = tmp_path / "e.json"
     path.write_text(json.dumps({"n": 3, "terms": [{"subset": subset, "coeff": "1"}]}))
     _assert_input_error(invoke(runner, ["conjugate", str(path)]), f"variable index {needle} is not an integer")
+
+
+SYMBOLIC_COMMANDS = ("conjugate", "basis", "classify")
+
+
+@pytest.mark.parametrize("command", SYMBOLIC_COMMANDS)
+@pytest.mark.parametrize("n, needle", [(2.9, "2.9"), (True, "True"), ("3", "'3'")])
+def test_expression_json_refuses_non_integer_n(runner, tmp_path, command, n, needle):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": n, "terms": [{"subset": [1], "coeff": "1"}]}))
+    result = invoke(runner, [command, str(path)])
+    _assert_input_error(result, f'"n" {needle} is not an integer')
+    assert result.stdout == ""
+
+
+def _write_coefficients(tmp_path, *coeffs):
+    path = tmp_path / "e.json"
+    terms = [{"subset": [i], "coeff": c} for i, c in enumerate(coeffs, start=1)]
+    path.write_text(json.dumps({"n": len(coeffs), "terms": terms}))
+    return path
+
+
+@pytest.mark.parametrize("command", SYMBOLIC_COMMANDS)
+@pytest.mark.parametrize("coeff, needle", [
+    ("1e4301", "more than 4300 digits"),
+    ("1e-4300", "more than 4300 digits"),
+    ("1." + "0" * 4299 + "1", "more than 4300 digits"),
+    ("1e-400000", "exponent -400000 is out of range"),
+], ids=["1e4301", "1e-4300", "4300-decimals", "1e-400000"])
+def test_expression_json_refuses_unprintable_coefficients(runner, tmp_path, command, coeff, needle):
+    path = _write_coefficients(tmp_path, coeff, coeff)
+    result = invoke(runner, [command, str(path)])
+    _assert_input_error(result, needle)
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("coeff, printed", [("1e4299", str(10**4299)), ("1e-4299", f"1/{10**4299}")])
+def test_expression_json_accepts_the_longest_printable_coefficients(runner, tmp_path, coeff, printed):
+    result = invoke(runner, ["conjugate", str(_write_coefficients(tmp_path, coeff, "0"))])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["terms"] == [
+        {"subset": [2], "coeff": printed},
+        {"subset": [1, 2], "coeff": "-" + printed},
+    ]
+
+
+def test_expression_json_refuses_a_huge_exponent_at_once(tmp_path):
+    # Fraction would build a billion-digit int before any size check
+    path = _write_coefficients(tmp_path, "1e999999999", "1")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroconj.cli", "conjugate", str(path)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "exponent 999999999 is out of range" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", SYMBOLIC_COMMANDS)
+def test_results_past_the_digit_limit_are_domain_errors(runner, tmp_path, command):
+    # each coefficient prints, but their sum (the conjugate's full-set term)
+    # and the u-basis residual 2 * 9e4299 do not
+    result = invoke(runner, [command, str(_write_coefficients(tmp_path, "9e4299", "9e4299"))])
+    _assert_error(result, 3, "4300 digits")
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

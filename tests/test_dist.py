@@ -2,16 +2,20 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entroconj import (
+    METRIC_NAMES,
     DistributionFormatError,
+    EntropyExpression,
     JointDistribution,
     conjugate,
     entropy_term,
     load_csv,
+    mask_members,
     metric_expression,
     u_expression,
 )
@@ -192,6 +196,41 @@ def test_evaluate_conjugate_matches_termwise_application():
             comp = [i for i in full if not (mask >> (i - 1)) & 1]
             manual += float(c) * (d.subset_entropy(comp) - d.subset_entropy(full))
         assert d.evaluate(conjugate(e)) == pytest.approx(manual, abs=TOL)
+
+
+def test_evaluate_does_not_depend_on_term_order():
+    # equal expressions whose terms were inserted in different orders must
+    # give the same float, not merely a close one
+    rng = np.random.default_rng(21)
+    d = random_distribution(rng, [2] * 10)
+    d.u_values()  # evaluate from the entropy table, as the metrics command does
+    for name in METRIC_NAMES:
+        e = metric_expression(name, 10)
+        items = list(e.terms.items())
+        values = set()
+        for _ in range(8):
+            order = rng.permutation(len(items))
+            shuffled = EntropyExpression(10, dict(items[i] for i in order))
+            assert shuffled == e
+            values.add(d.evaluate(shuffled))
+        assert values == {d.evaluate(e)}, name
+
+
+def test_metrics_match_the_exact_evaluation_of_the_entropy_table():
+    # the float entropy table summed in exact rational arithmetic, against
+    # the float evaluation of each metric: only rounding may separate them
+    rng = np.random.default_rng(3)
+    for n in (10, 11, 12):
+        for _ in range(2):
+            d = random_distribution(rng, [2] * n)
+            d.u_values()
+            for name in METRIC_NAMES:
+                e = metric_expression(name, n)
+                exact = sum(
+                    c * Fraction(d.subset_entropy(mask_members(mask)))
+                    for mask, c in e.terms.items()
+                )
+                assert abs(Fraction(d.evaluate(e)) - exact) <= 1e-13, (name, n)
 
 
 def test_in_span_metrics_vanish_on_products():
