@@ -434,6 +434,9 @@ def expression_to_json(e: EntropyExpression) -> dict:
 
 _MAX_COEFF_DIGITS = 4300  # CPython's default int <-> str conversion limit
 _COEFF_BOUND = 10**_MAX_COEFF_DIGITS
+# A conjugate lists the n - |a| members each term lacks, so its output grows
+# by n per term; no command or test needs more than 20 variables.
+MAX_JSON_VARIABLES = 64
 
 
 def _parse_coefficient(text: str) -> Fraction:
@@ -464,6 +467,8 @@ def expression_from_json(obj: dict) -> EntropyExpression:
         raw_terms = obj["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed expression JSON: {exc}") from exc
+    if n > MAX_JSON_VARIABLES:
+        raise ValueError(f'"n" {n} is above the limit of {MAX_JSON_VARIABLES}')
     if not isinstance(raw_terms, list):
         raise ValueError('"terms" must be a list')
     terms: dict[int, Fraction] = {}

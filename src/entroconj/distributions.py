@@ -16,15 +16,18 @@ the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from collections import Counter
+import sys
+import warnings
+from itertools import chain
 from math import comb, prod
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .algebra import EntropyExpression, mutual_information_expr, subset_mask
+from .algebra import EntropyExpression, _as_int, mutual_information_expr, subset_mask
 
 __all__ = [
     "JointDistribution",
@@ -59,6 +62,55 @@ def _plugin_entropy_bits(marginal: np.ndarray) -> float:
     p = p[p > PROB_ZERO]
     h = -float(np.dot(p, np.log2(p)))
     return h if h > 0.0 else 0.0  # tiny negative round-off on point masses
+
+
+def _symbol_array(states, empty: str) -> np.ndarray:
+    """States as a checked 2-D integer array, one row per state.
+
+    An integer ndarray is taken as it is.  Otherwise Python and numpy
+    integers pass while bool, float and str symbols are refused, and
+    Python ints past int64 give an object array.
+    """
+    if not (isinstance(states, np.ndarray) and states.ndim == 2 and states.dtype.kind in "iu"):
+        states = [tuple(state) for state in states]
+        if not states:
+            raise DistributionFormatError(empty)
+        nvars = len(states[0])
+        if any(len(state) != nvars for state in states):
+            raise DistributionFormatError("states have inconsistent lengths")
+        if set(map(type, chain.from_iterable(states))) != {int}:
+            try:  # the integer rule of the symbolic layer
+                states = [tuple(_as_int(s, "symbol") for s in state) for state in states]
+            except ValueError as exc:
+                raise DistributionFormatError(str(exc)) from None
+        try:
+            table = np.fromiter(chain.from_iterable(states), np.int64, len(states) * nvars)
+        except OverflowError:
+            table = np.array(states, dtype=object)
+        states = table.reshape(len(states), nvars)
+    if not len(states):
+        raise DistributionFormatError(empty)
+    if (states < 0).any():
+        raise DistributionFormatError("symbols must be nonnegative integers")
+    return states
+
+
+def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
+    """Dense array of ``sizes`` holding the summed ``weights`` (default: the
+    count) of each state, one row of in-range ``codes`` per state.
+
+    Refuses a table above ``MAX_DENSE_CELLS`` before allocating it.
+    """
+    cells = prod(sizes)
+    if cells > MAX_DENSE_CELLS:
+        raise DistributionFormatError(
+            f"alphabet sizes {sizes} need a dense table of {cells} cells, "
+            f"more than the {MAX_DENSE_CELLS} supported"
+        )
+    flat = np.zeros(len(codes), dtype=np.intp)
+    for column, size in zip(codes.T, sizes):
+        flat = flat * size + column
+    return np.bincount(flat, weights, minlength=cells).reshape(sizes)
 
 
 class JointDistribution:
@@ -124,33 +176,21 @@ class JointDistribution:
         Alphabet sizes default to one plus the largest symbol seen in each
         position; explicit sizes reject out-of-range states.
         """
-        states = [(tuple(int(s) for s in state), float(p)) for state, p in mapping.items()]
-        if not states:
-            raise DistributionFormatError("empty distribution")
-        nvars = len(states[0][0])
-        if any(len(s) != nvars for s, _ in states):
-            raise DistributionFormatError("states have inconsistent lengths")
-        if any(s < 0 for state, _ in states for s in state):
-            raise DistributionFormatError("symbols must be nonnegative integers")
+        states = _symbol_array(list(mapping), "empty distribution")
+        probs = [float(p) for p in mapping.values()]
         if alphabet_sizes is None:
-            sizes = tuple(max(state[i] for state, _ in states) + 1 for i in range(nvars))
+            sizes = tuple(int(s) + 1 for s in states.max(axis=0))
         else:
             sizes = tuple(int(x) for x in alphabet_sizes)
-            for state, _ in states:
-                if any(s >= sizes[i] for i, s in enumerate(state)):
-                    raise DistributionFormatError(
-                        f"state {state} outside alphabet sizes {sizes}"
-                    )
-        cells = prod(sizes)
-        if cells > MAX_DENSE_CELLS:
-            raise DistributionFormatError(
-                f"alphabet sizes {sizes} need a dense table of {cells} cells, "
-                f"more than the {MAX_DENSE_CELLS} supported"
-            )
-        arr = np.zeros(sizes, dtype=float)
-        for state, p in states:
-            arr[state] += p
-        return cls(arr)
+            if len(sizes) != states.shape[1]:
+                raise DistributionFormatError(
+                    f"alphabet sizes {sizes} do not match states of {states.shape[1]} symbols"
+                )
+            outside = (states >= sizes).any(axis=1)
+            if outside.any():
+                state = tuple(states[outside.argmax()].tolist())
+                raise DistributionFormatError(f"state {state} outside alphabet sizes {sizes}")
+        return cls(_dense_table(states, sizes, probs))
 
     @classmethod
     def from_samples(cls, rows: Iterable[Sequence[int]]) -> "JointDistribution":
@@ -160,20 +200,14 @@ class JointDistribution:
         symbols are relabelled to dense codes 0..k-1 in increasing order;
         sparse symbols such as 0 and 99991 cost no empty table cells.
         """
-        counts = Counter(tuple(int(s) for s in row) for row in rows)
-        if not counts:
-            raise DistributionFormatError("no samples")
-        nvars = len(next(iter(counts)))
-        if any(len(state) != nvars for state in counts):
-            raise DistributionFormatError("states have inconsistent lengths")
-        if any(s < 0 for state in counts for s in state):
-            raise DistributionFormatError("symbols must be nonnegative integers")
-        codes = [{s: c for c, s in enumerate(sorted(set(column)))} for column in zip(*counts)]
-        total = sum(counts.values())
-        return cls.from_pmf({
-            tuple(code[s] for code, s in zip(codes, state)): c / total
-            for state, c in counts.items()
-        })
+        data = _symbol_array(rows, "no samples")
+        codes = np.empty(data.shape, dtype=np.intp)
+        sizes = []
+        for j, column in enumerate(data.T):
+            symbols, inverse = np.unique(column, return_inverse=True)
+            codes[:, j] = inverse.ravel()
+            sizes.append(len(symbols))
+        return cls(_dense_table(codes, tuple(sizes)) / len(data))
 
     # -- entropies ---------------------------------------------------------
 
@@ -270,6 +304,10 @@ def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
     is a state with an explicit probability, otherwise each row is one raw
     observation.  Symbols are nonnegative integers.  Errors carry the
     offending 1-based line number.
+
+    numpy's C reader takes the body when it can; a row loop reads the rest
+    (blank cells, ``1_0``, non-ASCII digits, symbols past int64) and words
+    every error.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
@@ -278,11 +316,15 @@ def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
 
 
 def _parse_csv(handle: IO[str]) -> JointDistribution:
-    reader = csv.reader(handle)
+    # one line-ending rule whatever the handle's newline mode: \r, \n or \r\n
+    lines = io.StringIO(handle.read(), newline="")
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
         raise DistributionFormatError("line 1: empty file") from None
+    except csv.Error as exc:
+        raise DistributionFormatError(f"line {reader.line_num}: {exc}") from None
     header = [h.strip().lower() for h in header]
     if not header:
         raise DistributionFormatError("line 1: empty header")
@@ -290,53 +332,123 @@ def _parse_csv(handle: IO[str]) -> JointDistribution:
     nvars = len(header) - (1 if has_p else 0)
     if nvars < 1:
         raise DistributionFormatError("line 1: no variable columns")
+    body = lines.read()
+    dist = _from_columns(body, nvars, has_p)
+    if dist is None:
+        dist = _from_rows(body, len(header), has_p, reader.line_num)
+    return dist
 
+
+def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | None:
+    """The distribution in ``body`` read by numpy's C parser, or None.
+
+    None leaves the body to :func:`_from_rows`, the only reader that words
+    an error and the only one that takes what ``loadtxt`` refuses (blank
+    cells, ``1_0``, non-ASCII digits, symbols past int64).  So every input
+    that ``loadtxt`` refuses, or that fails a check below, goes there.
+    """
+    if not body.strip():
+        return None  # loadtxt warns on a body without data
+    # samples: an (rows, columns) int64 array; p-table: one record per row
+    dtype = [("s", np.int64, (nvars,)), ("p", np.float64)] if has_p else np.int64
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 truncates a symbol such as "1.5" under this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                ndmin=1 if has_p else 2,
+            )
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    if not has_p and table.shape[1] != nvars:
+        return None
+    # The row loop refuses a field longer than csv's limit and a symbol with
+    # more digits than int() converts; loadtxt refuses neither.  The fields
+    # loadtxt took hold a character each, with a comma or line break between
+    # two, which bounds the longest; past the limit, the lines bound it unless
+    # a quote hides a line break.
+    fields = len(table) * (nvars + has_p)
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = min(csv.field_size_limit(), int_digits or math.inf)
+    if len(body) - 2 * fields + 2 > limit and (
+        '"' in body or max(map(len, body.split("\n"))) > limit
+    ):
+        return None
+    states = table["s"] if has_p else table
+    if (states < 0).any():
+        return None
+    if not has_p:
+        return JointDistribution.from_samples(states)
+    probs = table["p"]
+    if not (np.isfinite(probs) & (probs >= 0)).all():
+        return None
+    probs = probs.tolist()
+    if abs(sum(probs) - 1.0) > SUM_TOLERANCE:
+        return None
+    mapping = dict(zip(map(tuple, states.tolist()), probs))
+    if len(mapping) != len(probs):
+        return None  # a duplicate state
+    return JointDistribution.from_pmf(mapping)
+
+
+def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:
+    """The distribution in ``body`` read row by row, or the first error in it.
+
+    Rows are numbered from 2, one per record; a csv-level error carries the
+    physical line it stopped on.
+    """
+    reader = csv.reader(io.StringIO(body, newline=""))
+    nvars = ncols - (1 if has_p else 0)
     states: list[tuple[int, ...]] = []
     probs: list[float] = []
     seen: dict[tuple[int, ...], int] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DistributionFormatError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        state = []
-        for col in range(nvars):
-            token = row[col].strip()
-            try:
-                sym = int(token)
-            except ValueError:
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != ncols:
                 raise DistributionFormatError(
-                    f"line {lineno}: symbol {token!r} is not an integer"
-                ) from None
-            if sym < 0:
-                raise DistributionFormatError(
-                    f"line {lineno}: symbol {sym} is negative"
+                    f"line {lineno}: expected {ncols} fields, got {len(row)}"
                 )
-            state.append(sym)
-        state = tuple(state)
-        if has_p:
-            token = row[-1].strip()
-            try:
-                p = float(token)
-            except ValueError:
-                raise DistributionFormatError(
-                    f"line {lineno}: probability {token!r} is not a number"
-                ) from None
-            if not math.isfinite(p):
-                raise DistributionFormatError(
-                    f"line {lineno}: probability {token!r} is not finite"
-                )
-            if p < 0:
-                raise DistributionFormatError(f"line {lineno}: negative probability")
-            if state in seen:
-                raise DistributionFormatError(
-                    f"line {lineno}: duplicate state {state} (first at line {seen[state]})"
-                )
-            seen[state] = lineno
-            probs.append(p)
-        states.append(state)
+            state = []
+            for col in range(nvars):
+                token = row[col].strip()
+                try:
+                    sym = int(token)
+                except ValueError:
+                    raise DistributionFormatError(
+                        f"line {lineno}: symbol {token!r} is not an integer"
+                    ) from None
+                if sym < 0:
+                    raise DistributionFormatError(
+                        f"line {lineno}: symbol {sym} is negative"
+                    )
+                state.append(sym)
+            state = tuple(state)
+            if has_p:
+                token = row[-1].strip()
+                try:
+                    p = float(token)
+                except ValueError:
+                    raise DistributionFormatError(
+                        f"line {lineno}: probability {token!r} is not a number"
+                    ) from None
+                if not math.isfinite(p):
+                    raise DistributionFormatError(
+                        f"line {lineno}: probability {token!r} is not finite"
+                    )
+                if p < 0:
+                    raise DistributionFormatError(f"line {lineno}: negative probability")
+                if state in seen:
+                    raise DistributionFormatError(
+                        f"line {lineno}: duplicate state {state} (first at line {seen[state]})"
+                    )
+                seen[state] = lineno
+                probs.append(p)
+            states.append(state)
+    except csv.Error as exc:
+        raise DistributionFormatError(f"line {header_lines + reader.line_num}: {exc}") from None
 
     if not states:
         raise DistributionFormatError("line 2: no data rows")

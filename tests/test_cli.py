@@ -122,6 +122,18 @@ def test_metrics_refuses_oversized_table(runner, tmp_path):
     _assert_input_error(invoke(runner, ["metrics", str(path)]), "dense table")
 
 
+@pytest.mark.parametrize("command", [["metrics"], ["pid", "decompose"]])
+@pytest.mark.parametrize("field", ["7" * 140_000, "0" * 140_000 + "1"], ids=["digits", "zero-padded"])
+def test_csv_field_past_the_csv_limit_is_an_input_error(runner, tmp_path, command, field):
+    # csv refuses fields longer than 131072 characters; numpy's reader would
+    # take the zero-padded one, so this also checks that it leaves it alone
+    path = tmp_path / "long.csv"
+    path.write_text(f"x1,x2,x3,p\n0,0,0,0.25\n0,{field},1,0.25\n1,0,1,0.25\n1,1,0,0.25\n")
+    result = invoke(runner, [*command, str(path)])
+    _assert_input_error(result, "line 3: field larger than field limit")
+    assert result.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # symbolic commands
 # ---------------------------------------------------------------------------
@@ -307,6 +319,27 @@ def test_expression_json_refuses_non_integer_n(runner, tmp_path, command, n, nee
     result = invoke(runner, [command, str(path)])
     _assert_input_error(result, f'"n" {needle} is not an integer')
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", SYMBOLIC_COMMANDS)
+@pytest.mark.parametrize("n", [65, 2**27])
+def test_expression_json_refuses_n_past_the_cap(runner, tmp_path, command, n):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": n, "terms": [{"subset": [n], "coeff": "1"}]}))
+    result = invoke(runner, [command, str(path)])
+    _assert_input_error(result, f'"n" {n} is above the limit of 64')
+    assert result.stdout == ""
+
+
+def test_expression_json_takes_n_at_the_cap(runner, tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"n": 64, "terms": [{"subset": [64], "coeff": "1"}]}))
+    result = invoke(runner, ["conjugate", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["terms"] == [
+        {"subset": list(range(1, 64)), "coeff": "1"},
+        {"subset": list(range(1, 65)), "coeff": "-1"},
+    ]
 
 
 def _write_coefficients(tmp_path, *coeffs):

@@ -2,10 +2,13 @@
 
 import io
 import math
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroconj import (
     METRIC_NAMES,
@@ -19,6 +22,7 @@ from entroconj import (
     metric_expression,
     u_expression,
 )
+from entroconj import distributions
 from entroconj.distributions import MAX_DENSE_CELLS
 
 from helpers import (
@@ -319,6 +323,50 @@ def test_from_samples_rejects_ragged_and_negative_rows():
         JointDistribution.from_samples([(0, 1), (-1, 0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: JointDistribution.from_samples([(0.9, 0), (1.2, 1), (1.7, 1)]),
+    lambda: JointDistribution.from_samples([(0, 1), (True, 0)]),
+    lambda: JointDistribution.from_samples([("1", 0), (0, 1)]),
+    lambda: JointDistribution.from_samples(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    lambda: JointDistribution.from_samples(np.array([[True, False]])),
+    lambda: JointDistribution.from_pmf({(0.5, 0): 0.5, (1, True): 0.5}),
+    lambda: JointDistribution.from_pmf({("0", 0): 1.0}),
+    lambda: JointDistribution.from_pmf({(np.float64(1), 0): 1.0}),
+], ids=["float-samples", "bool-samples", "str-samples", "float-array", "bool-array",
+        "float-pmf", "str-pmf", "numpy-float-pmf"])
+def test_constructors_refuse_non_integer_symbols(build):
+    with pytest.raises(DistributionFormatError, match="symbol .* is not an integer"):
+        build()
+
+
+def test_constructors_take_numpy_integers_and_relabel_big_samples():
+    rows = np.random.default_rng(22).integers(0, 3, size=(50, 3))
+    as_tuples = JointDistribution.from_samples([tuple(r) for r in rows.tolist()])
+    for same in (
+        JointDistribution.from_samples(rows),
+        JointDistribution.from_samples(rows.astype(np.uint8)),
+        JointDistribution.from_samples([tuple(r) for r in rows]),  # numpy int scalars
+    ):
+        assert same.pmf.tobytes() == as_tuples.pmf.tobytes()
+    pmf = {(np.int64(1), np.uint16(0)): 0.5, (0, np.int8(1)): 0.5}
+    assert JointDistribution.from_pmf(pmf).pmf.tobytes() == copy_pair().pmf[::-1].tobytes()
+    # samples past int64 are relabelled; as p-table states they need a dense table
+    big = JointDistribution.from_samples([(2**64, 0), (0, 1), (2**64, 1), (2**70, 1)])
+    small = JointDistribution.from_samples([(1, 0), (0, 1), (1, 1), (2, 1)])
+    assert big.pmf.tobytes() == small.pmf.tobytes()
+    with pytest.raises(DistributionFormatError, match="dense table"):
+        JointDistribution.from_pmf({(2**64, 0): 0.5, (0, 1): 0.5})
+
+
+def test_from_pmf_with_explicit_alphabet_sizes():
+    d = JointDistribution.from_pmf({(0, 1): 0.5, (1, 1): 0.5}, alphabet_sizes=(3, 2))
+    assert d.pmf.tolist() == [[0.0, 0.5], [0.0, 0.5], [0.0, 0.0]]
+    with pytest.raises(DistributionFormatError, match=r"state \(2, 1\) outside alphabet sizes \(2, 2\)"):
+        JointDistribution.from_pmf({(0, 0): 0.5, (2, 1): 0.5}, alphabet_sizes=(2, 2))
+    with pytest.raises(DistributionFormatError, match=r"alphabet sizes \(2,\) do not match"):
+        JointDistribution.from_pmf({(0, 1): 1.0}, alphabet_sizes=(2,))
+
+
 def test_from_pmf_refuses_oversized_table_before_allocating():
     # 10^12 cells would need 8 TB; the refusal must come first
     with pytest.raises(DistributionFormatError, match="dense table"):
@@ -380,3 +428,87 @@ def test_load_csv_sum_error():
 def test_load_csv_empty_file():
     with pytest.raises(DistributionFormatError, match="line 1"):
         _load("")
+
+
+def test_load_csv_relabels_samples_past_int64():
+    big = _load(f"x1,x2\n{2**64},0\n0,1\n{2**64},1\n")
+    assert big.pmf.tobytes() == _load("x1,x2\n1,0\n0,1\n1,1\n").pmf.tobytes()
+    with pytest.raises(DistributionFormatError, match="dense table"):
+        _load(f"x1,x2,p\n{2**64},0,0.5\n0,1,0.5\n")
+
+
+@pytest.mark.parametrize("template", ["x1,x2\n0,{}\n1,1\n", "x1,x2,p\n0,{},0.5\n1,1,0.5\n"])
+def test_load_csv_refuses_symbols_past_the_int_digit_limit(template):
+    # int() converts at most 4300 digits, leading zeros included; numpy's
+    # reader would take the padded symbol, so it must leave it to the row loop
+    assert _load(template.format("0" * 4299 + "1")).n == 2
+    with pytest.raises(DistributionFormatError, match="line 2: symbol '0+1' is not an integer"):
+        _load(template.format("0" * 4300 + "1"))
+
+
+# ---------------------------------------------------------------------------
+# the numpy reader against the row loop
+# ---------------------------------------------------------------------------
+
+# Cells that both readers take, and cells that either may refuse or read
+# leniently: whitespace, quotes, signs, digit separators, non-ASCII digits,
+# symbols past int64, comments and non-finite probabilities.
+GOOD_SYMBOLS = ["0", "1", "2"]
+ODD_SYMBOLS = [
+    " 1", "2 ", "\t0", "\xa01", '"1"', '" 2 "', '"1"2', "+1", "-1", "-0", "00", "1_0", "\u0663",
+    "9223372036854775807", "9223372036854775808", str(2**70), "", " ", "1.0", "1.5", "#1", "0x1",
+]
+ODD_PROBS = [
+    "0.5", " 0.25", '"0.5"', "0", "-0", "1e-300", ".5", "nan", "inf", "-inf", "-0.5", "1_0", "", "#",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    nvars = draw(st.integers(1, 3))
+    has_p = draw(st.booleans())
+    ncols = nvars + has_p
+    header = ",".join([f"x{i + 1}" for i in range(nvars)] + (["p"] if has_p else []))
+    # states from a small space, so that p-tables repeat a state now and then
+    states = draw(st.lists(
+        st.tuples(*[st.sampled_from(GOOD_SYMBOLS)] * nvars), min_size=0, max_size=6
+    ))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(states), max_size=len(states)))
+    total = sum(weights)
+    rows = [
+        list(state) + ([repr(w / total) if total else "0"] if has_p else [])
+        for state, w in zip(states, weights)
+    ]
+    odd = st.one_of(
+        st.just([]),  # a blank line
+        st.just([" "] * ncols),  # blank cells
+        st.lists(st.sampled_from(GOOD_SYMBOLS), min_size=1, max_size=ncols + 1),  # ragged
+        st.just(["#comment"]),
+        st.tuples(*[st.sampled_from(ODD_SYMBOLS)] * nvars, *[st.sampled_from(ODD_PROBS)] * has_p).map(list),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    lines = [header] + [",".join(row) for row in rows]
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ending = draw(endings)
+        return "".join(line + ending for line in lines)
+    return "".join(line + draw(endings) for line in lines)
+
+
+def _outcome(text: str):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is an outcome too
+            d = load_csv(io.StringIO(text))
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    return d.alphabet_sizes, d.pmf.tobytes()
+
+
+@given(csv_texts())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_numpy_reader_matches_the_row_loop(text):
+    with mock.patch.object(distributions, "_from_columns", return_value=None):
+        rows_only = _outcome(text)
+    assert _outcome(text) == rows_only
