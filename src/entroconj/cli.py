@@ -26,7 +26,7 @@ from .algebra import (
     mask_members,
     to_u_basis,
 )
-from .distributions import DistributionFormatError, JointDistribution, _base_scale, load_csv
+from .distributions import JointDistribution, load_csv
 from .metrics import METRIC_NAMES, metric_expression
 from .pid import (
     MAX_ENUM_SOURCES,
@@ -59,7 +59,7 @@ def _echo_json(obj) -> None:
 def _load_distribution(handle) -> JointDistribution:
     try:
         return load_csv(handle)
-    except (DistributionFormatError, ValueError) as exc:
+    except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
 
 
@@ -104,7 +104,8 @@ def _atom_json(f, value: float | None = None) -> dict:
 def main(ctx, log_base):
     """High-order interdependence toolkit."""
     ctx.ensure_object(dict)
-    ctx.obj["base"] = 2.0 if log_base == "2" else math.e
+    # the library computes in bits; this converts every reported value
+    ctx.obj["scale"] = 1.0 if log_base == "2" else math.log(2.0)
 
 
 @main.command()
@@ -120,12 +121,12 @@ def main(ctx, log_base):
 def metrics(ctx, dist_file, selected):
     """Evaluate interdependence metrics on a distribution CSV."""
     dist = _load_distribution(dist_file)
-    base = ctx.obj["base"]
+    scale = ctx.obj["scale"]
     names = selected or METRIC_NAMES
     try:
-        u = dist.u_values(base)  # fills the entropy table every metric then reads
-        report = {name: dist.evaluate(metric_expression(name, dist.n), base) for name in names}
-        report["u"] = list(u)
+        u = dist.u_values()  # fills the entropy table every metric then reads
+        report = {name: dist.evaluate(metric_expression(name, dist.n)) * scale for name in names}
+        report["u"] = [x * scale for x in u]
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     report["n"] = dist.n
@@ -254,7 +255,7 @@ def pid_decompose(ctx, dist_file, tolerance):
     if not (math.isfinite(tolerance) and tolerance >= 0):
         _fail(EXIT_INPUT_ERROR, f"--tolerance must be finite and >= 0, got {tolerance}")
     dist = _load_distribution(dist_file)
-    scale = _base_scale(ctx.obj["base"])
+    scale = ctx.obj["scale"]
     try:
         values = reference_pid(dist)
     except ValueError as exc:

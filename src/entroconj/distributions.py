@@ -6,8 +6,8 @@ entropies are computed by the plug-in estimator with the base-2 logarithm
 (bits).  A single marginal is summed straight from the pmf; the whole u_k
 profile fills a table of all 2^n marginal entropies in one depth-first walk
 of the subset lattice, where each marginal is one axis-sum of a parent with
-one more variable, and every later lookup reads that table.  Natural-log
-output is available through the ``base`` argument on the evaluation methods.
+one more variable, and every later lookup reads that table.  Every value
+is in bits; ``entroconj --log-base e`` converts CLI output to nats.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -45,15 +45,6 @@ MAX_DENSE_CELLS = 1 << 24  # largest pmf array built from states (128 MiB of flo
 
 class DistributionFormatError(ValueError):
     """Malformed distribution input (CSV rows, pmf tables, sample lists)."""
-
-
-def _base_scale(base: float) -> float:
-    """Multiplier converting bits to log-``base`` units."""
-    if base == 2.0:
-        return 1.0
-    if base <= 0 or base == 1.0:
-        raise ValueError(f"invalid logarithm base {base!r}")
-    return math.log(2.0) / math.log(base)
 
 
 def _plugin_entropy_bits(marginal: np.ndarray) -> float:
@@ -123,7 +114,7 @@ class JointDistribution:
 
     __slots__ = ("_pmf", "_entropies")
 
-    def __init__(self, pmf, *, sum_tolerance: float = SUM_TOLERANCE):
+    def __init__(self, pmf):
         arr = np.array(pmf, dtype=float)
         if arr.ndim < 1:
             raise ValueError("a distribution needs at least one variable")
@@ -134,9 +125,9 @@ class JointDistribution:
         if (arr < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(arr.sum())
-        if abs(total - 1.0) > sum_tolerance:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(
-                f"probabilities sum to {total!r}, expected 1 within {sum_tolerance:g}"
+                f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
             )
         arr /= total
         arr.flags.writeable = False
@@ -166,30 +157,14 @@ class JointDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pmf(
-        cls,
-        mapping: Mapping[tuple[int, ...], float],
-        alphabet_sizes: Sequence[int] | None = None,
-    ) -> "JointDistribution":
+    def from_pmf(cls, mapping: Mapping[tuple[int, ...], float]) -> "JointDistribution":
         """Build from a state -> probability map.
 
-        Alphabet sizes default to one plus the largest symbol seen in each
-        position; explicit sizes reject out-of-range states.
+        Each alphabet size is one plus the largest symbol seen in its position.
         """
         states = _symbol_array(list(mapping), "empty distribution")
         probs = [float(p) for p in mapping.values()]
-        if alphabet_sizes is None:
-            sizes = tuple(int(s) + 1 for s in states.max(axis=0))
-        else:
-            sizes = tuple(int(x) for x in alphabet_sizes)
-            if len(sizes) != states.shape[1]:
-                raise DistributionFormatError(
-                    f"alphabet sizes {sizes} do not match states of {states.shape[1]} symbols"
-                )
-            outside = (states >= sizes).any(axis=1)
-            if outside.any():
-                state = tuple(states[outside.argmax()].tolist())
-                raise DistributionFormatError(f"state {state} outside alphabet sizes {sizes}")
+        sizes = tuple(int(s) + 1 for s in states.max(axis=0))
         return cls(_dense_table(states, sizes, probs))
 
     @classmethod
@@ -253,12 +228,12 @@ class JointDistribution:
         drop = tuple(i for i in range(self.n) if not (mask >> i) & 1)
         return _plugin_entropy_bits(self._pmf.sum(axis=drop) if drop else self._pmf)
 
-    def subset_entropy(self, members: Iterable[int], base: float = 2.0) -> float:
-        """Plug-in entropy of the marginal on 1-based variable indices."""
-        return self._entropy_bits(subset_mask(members, self.n)) * _base_scale(base)
+    def subset_entropy(self, members: Iterable[int]) -> float:
+        """Plug-in entropy in bits of the marginal on 1-based variable indices."""
+        return self._entropy_bits(subset_mask(members, self.n))
 
-    def evaluate(self, expr: EntropyExpression, base: float = 2.0) -> float:
-        """Value of a symbolic expression on this distribution.
+    def evaluate(self, expr: EntropyExpression) -> float:
+        """Value in bits of a symbolic expression on this distribution.
 
         ``math.fsum`` adds the terms exactly, so their order cannot change the
         result and alternating sums such as ii lose no digits to cancellation.
@@ -267,11 +242,10 @@ class JointDistribution:
             raise ValueError(
                 f"expression has {expr.n} variables, distribution has {self.n}"
             )
-        total = math.fsum(float(c) * self._entropy_bits(mask) for mask, c in expr.terms.items())
-        return total * _base_scale(base)
+        return math.fsum(float(c) * self._entropy_bits(mask) for mask, c in expr.terms.items())
 
-    def u_values(self, base: float = 2.0) -> tuple[float, ...]:
-        """The u_1..u_{n-1} profile, from the entropy table in closed form.
+    def u_values(self) -> tuple[float, ...]:
+        """The u_1..u_{n-1} profile in bits, from the entropy table in closed form.
 
         u_k averages I(X_i ; X_j | X^a) over all pairs i < j and all
         (k-1)-subsets a avoiding them, which equals 2 r_k - r_{k-1} - r_{k+1}
@@ -283,18 +257,13 @@ class JointDistribution:
             sizes = np.concatenate((sizes, sizes + 1))
         r = np.bincount(sizes, weights=self._entropy_table(), minlength=n + 1)
         r /= [comb(n, s) for s in range(n + 1)]
-        u = (2.0 * r[1:n] - r[: n - 1] - r[2:]) * _base_scale(base)
-        return tuple(u.tolist())
+        return tuple((2.0 * r[1:n] - r[: n - 1] - r[2:]).tolist())
 
     def conditional_mutual_information(
-        self,
-        a: Iterable[int],
-        b: Iterable[int],
-        c: Iterable[int] = (),
-        base: float = 2.0,
+        self, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()
     ) -> float:
-        """I(X^a ; X^b | X^c) for disjoint 1-based index sets."""
-        return self.evaluate(mutual_information_expr(self.n, a, b, c), base)
+        """I(X^a ; X^b | X^c) in bits for disjoint 1-based index sets."""
+        return self.evaluate(mutual_information_expr(self.n, a, b, c))
 
 
 def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:

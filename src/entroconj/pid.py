@@ -251,24 +251,16 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
             f"the reference decomposition supports 1..{MAX_PID_SOURCES} sources, got {m}"
         )
     p_y = dist.pmf.sum(axis=tuple(range(m)))
-
-    specific_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def specific(members: tuple[int, ...]) -> np.ndarray:
-        if members not in specific_cache:
-            specific_cache[members] = _specific_information_bits(dist, members)
-        return specific_cache[members]
-
-    atoms = enumerate_atoms(m)
-
-    def redundancy(f: MonotoneBooleanFunction) -> float:
-        stacked = np.array([specific(member) for member in bf_to_antichain(f)])
-        return float((p_y * stacked.min(axis=0)).sum())
-
+    # every nonempty source set is the one minimal set of some atom
+    specific = {
+        members: _specific_information_bits(dist, members)
+        for members in map(mask_members, range(1, 1 << m))
+    }
     values: dict[MonotoneBooleanFunction, float] = {}
-    for f in sorted(atoms, key=lambda f: (-f.bits.bit_count(), f.bits)):
-        upper = sum(v for g, v in values.items() if g != f and atom_leq(f, g))
-        values[f] = redundancy(f) - upper
+    for f in sorted(enumerate_atoms(m), key=lambda f: (-f.bits.bit_count(), f.bits)):
+        stacked = np.array([specific[member] for member in bf_to_antichain(f)])
+        upper = sum(v for g, v in values.items() if atom_leq(f, g))
+        values[f] = float((p_y * stacked.min(axis=0)).sum()) - upper
     return values
 
 

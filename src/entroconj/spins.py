@@ -132,9 +132,7 @@ def boltzmann_distribution(J: np.ndarray, beta: float) -> JointDistribution:
         raise ValueError("coupling matrix must be square")
     if n > MAX_SPINS:
         raise ValueError(f"at most {MAX_SPINS} spins (exact enumeration)")
-    states = np.array(
-        [[(s >> b) & 1 for b in range(n)] for s in range(1 << n)], dtype=float
-    )
+    states = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     x = 2.0 * states - 1.0
     upper = np.triu(J, k=1)
     energies = -(2.0 / (n * (n - 1))) * np.einsum("si,ij,sj->s", x, upper, x)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from entroconj import (
@@ -387,3 +388,54 @@ def oracle_antichain_table(n: int, antichain) -> int:
     masks = [sum(1 << (i - 1) for i in member) for member in antichain]
     return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
 
+
+# ---------------------------------------------------------------------------
+# input strategies
+# ---------------------------------------------------------------------------
+
+# Cells that both readers take, and cells that either may refuse or read
+# leniently: whitespace, quotes, signs, digit separators, non-ASCII digits,
+# symbols past int64, comments and non-finite probabilities.
+GOOD_SYMBOLS = ["0", "1", "2"]
+ODD_SYMBOLS = [
+    " 1", "2 ", "\t0", "\xa01", '"1"', '" 2 "', '"1"2', "+1", "-1", "-0", "00", "1_0", "\u0663",
+    "9223372036854775807", "9223372036854775808", str(2**70), "", " ", "1.0", "1.5", "#1", "0x1",
+]
+ODD_PROBS = [
+    "0.5", " 0.25", '"0.5"', "0", "-0", "1e-300", ".5", "nan", "inf", "-inf", "-0.5", "1_0", "", "#",
+]
+
+
+@st.composite
+def csv_texts(draw, max_vars: int = 3):
+    """Distribution CSV text, mostly well formed: p-tables and samples over
+    1..``max_vars`` variables, with a few odd rows or cells mixed in."""
+    nvars = draw(st.integers(1, max_vars))
+    has_p = draw(st.booleans())
+    ncols = nvars + has_p
+    header = ",".join([f"x{i + 1}" for i in range(nvars)] + (["p"] if has_p else []))
+    # states from a small space, so that p-tables repeat a state now and then
+    states = draw(st.lists(
+        st.tuples(*[st.sampled_from(GOOD_SYMBOLS)] * nvars), min_size=0, max_size=6
+    ))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(states), max_size=len(states)))
+    total = sum(weights)
+    rows = [
+        list(state) + ([repr(w / total) if total else "0"] if has_p else [])
+        for state, w in zip(states, weights)
+    ]
+    odd = st.one_of(
+        st.just([]),  # a blank line
+        st.just([" "] * ncols),  # blank cells
+        st.lists(st.sampled_from(GOOD_SYMBOLS), min_size=1, max_size=ncols + 1),  # ragged
+        st.just(["#comment"]),
+        st.tuples(*[st.sampled_from(ODD_SYMBOLS)] * nvars, *[st.sampled_from(ODD_PROBS)] * has_p).map(list),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    lines = [header] + [",".join(row) for row in rows]
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        ending = draw(endings)
+        return "".join(line + ending for line in lines)
+    return "".join(line + draw(endings) for line in lines)

@@ -12,12 +12,16 @@ import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from entroconj import expression_to_json, metric_expression
+from entroconj import METRIC_NAMES, expression_to_json, metric_expression
 from entroconj import cli
 from entroconj.cli import main
+
+from helpers import csv_texts
 
 XOR_CSV = "x1,x2,x3,p\n0,0,0,0.25\n0,1,1,0.25\n1,0,1,0.25\n1,1,0,0.25\n"
 
@@ -222,6 +226,33 @@ def test_pid_decompose_xor(runner, tmp_path):
     by_antichain = {json.dumps(a["antichain"]): a["value"] for a in atoms}
     assert by_antichain["[[1, 2]]"] == pytest.approx(1.0, abs=1e-9)
     assert by_antichain["[[1], [2]]"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_natural_log_output_is_the_bit_output_times_ln2(runner, tmp_path):
+    # the library computes in bits and the CLI converts each reported value
+    # with one product, so nats must equal bits * ln 2 exactly
+    pmf = np.random.default_rng(10).random((2, 3, 2, 2))
+    pmf /= pmf.sum()
+    path = tmp_path / "three_sources.csv"
+    path.write_text("x1,x2,x3,x4,p\n" + "".join(
+        ",".join(map(str, state)) + f",{float(p)!r}\n" for state, p in np.ndenumerate(pmf)
+    ))
+    ln2 = math.log(2.0)
+    bits, nats = (invoke(runner, [*base, "metrics", str(path)]) for base in ([], ["--log-base", "e"]))
+    assert bits.exit_code == nats.exit_code == 0
+    bits, nats = json.loads(bits.stdout), json.loads(nats.stdout)
+    assert set(nats) == set(METRIC_NAMES) | {"u", "n"}
+    for name in METRIC_NAMES:
+        assert nats[name] == bits[name] * ln2, name
+    assert nats["u"] == [x * ln2 for x in bits["u"]]
+    assert len(nats["u"]) == nats["n"] - 1 == 3
+    bits, nats = (invoke(runner, [*base, "pid", "decompose", str(path)]) for base in ([], ["--log-base", "e"]))
+    assert bits.exit_code == nats.exit_code == 0
+    bits, nats = json.loads(bits.stdout), json.loads(nats.stdout)
+    assert len(nats) == len(bits) == 18  # the atoms over three sources
+    for in_bits, in_nats in zip(bits, nats):
+        assert in_nats["antichain"] == in_bits["antichain"]
+        assert in_nats["value"] == in_bits["value"] * ln2
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "6"])
@@ -470,3 +501,80 @@ def test_spinlab_overflowing_weights_are_a_domain_error(runner, tmp_path):
     result = invoke(runner, ["spinlab", "--n", "3", "--count", "1", "--beta", "1e308", "--out", str(out)])
     _assert_error(result, 3, "Boltzmann")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input
+# ---------------------------------------------------------------------------
+
+# each mixes well-formed values, values out of range and malformed text
+SOURCE_SETS = st.lists(st.integers(1, 3), unique=True, max_size=2)
+INDEX_LISTS = st.one_of(
+    SOURCE_SETS.map(json.dumps),
+    st.lists(st.integers(-1, 5), max_size=4).map(json.dumps),
+    st.sampled_from(["", "[", "[1.5]", "[true]", '["1"]', '"1"', "{}", "null", "[[1]]"]),
+)
+ANTICHAINS = st.one_of(
+    st.lists(st.lists(st.integers(1, 3), unique=True, min_size=1, max_size=2), min_size=1, max_size=3)
+    .map(json.dumps),
+    st.lists(st.lists(st.integers(-1, 5), max_size=3), max_size=4).map(json.dumps),
+    st.sampled_from(["", "oops", "[1]", "[[1.5]]", '[["1"]]', "null"]),
+)
+SOURCE_COUNTS = st.one_of(
+    st.integers(2, 4).map(str), st.sampled_from(["1", "0", "-1", "", "x", "1.5"])
+)
+
+
+@st.composite
+def expression_texts(draw):
+    """Expression JSON: metric expansions, random terms, or broken JSON."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(METRIC_NAMES))
+        obj = expression_to_json(metric_expression(name, draw(st.integers(2, 6))))
+    else:
+        member = st.one_of(st.integers(-1, 7), st.sampled_from([1.5, True, "1", None]))
+        coeff = st.one_of(
+            st.fractions(max_denominator=12).map(str),
+            st.sampled_from(["1/0", "x", "", "1e99999", 1, 0.5, None]),
+        )
+        term = st.fixed_dictionaries({"subset": st.lists(member, max_size=4), "coeff": coeff})
+        obj = {
+            "n": draw(st.one_of(st.integers(-1, 6), st.sampled_from([65, 2.0, True, "3", None]))),
+            "terms": draw(st.lists(term, max_size=6)),
+        }
+    text = json.dumps(obj)
+    if draw(st.booleans()):
+        return text
+    return draw(st.sampled_from([text[: len(text) // 2], "[]", "null"]))
+
+
+@st.composite
+def cli_jobs(draw):
+    """One command line and the text it reads from stdin."""
+    family = draw(st.sampled_from(["csv", "expression", "lattice"]))
+    if family == "csv":
+        command = draw(st.sampled_from([["metrics"], ["pid", "decompose"]]))
+        return [*command, "-"], draw(csv_texts(max_vars=4))
+    if family == "expression":
+        command = draw(st.sampled_from(["conjugate", "basis", "classify"]))
+        return [command, "-"], draw(expression_texts())
+    n = draw(SOURCE_COUNTS)
+    command = draw(st.sampled_from(["dual", "cmi-set", "verify-theorem1", "sweep"]))
+    if command == "dual":
+        return ["pid", "dual", "--n", n, "--antichain", draw(ANTICHAINS)], ""
+    if command == "sweep":
+        return ["pid", "verify-theorem1", "--n", n], ""
+    return ["pid", command, "--n", n, "--a", draw(INDEX_LISTS), "--b", draw(INDEX_LISTS)], ""
+
+
+@given(cli_jobs(), st.sampled_from([[], ["--log-base", "e"]]))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzzed_input_ends_in_a_report_or_a_worded_error(job, base):
+    args, stdin = job
+    result = CliRunner().invoke(main, [*base, *args], input=stdin)
+    assert result.exit_code in (0, 2, 3), (args, stdin, result.exception)
+    assert "Traceback" not in result.output + (result.stderr or "")
+    if result.exit_code == 0 and args[0] == "metrics":
+        report = json.loads(result.stdout)
+        values = [report.pop("n"), *report.pop("u"), *report.values()]
+        assert all(math.isfinite(v) for v in values), report

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from entroconj import (
     METRIC_NAMES,
@@ -30,6 +30,7 @@ from helpers import (
     brute_entropy_bits,
     copy_pair,
     copy_triple,
+    csv_texts,
     definitional_u_values,
     parity_distribution,
     product_of_marginals,
@@ -79,13 +80,6 @@ def test_invalid_subset_rejected():
         xor_triple().subset_entropy([4])
 
 
-def test_natural_log_units():
-    d = xor_triple()
-    assert d.subset_entropy([1, 2, 3], base=math.e) == pytest.approx(
-        2.0 * math.log(2.0), abs=TOL
-    )
-
-
 def test_single_marginals_and_entropy_table_match_brute_force_oracle():
     # every subset, first summed on its own, then read from the table that
     # u_values fills
@@ -110,13 +104,6 @@ def test_u_values_match_definitional_oracle():
     for arr in awkward_pmfs(np.random.default_rng(18), 40):
         d = JointDistribution(arr)
         assert d.u_values() == pytest.approx(definitional_u_values(d), abs=1e-12)
-
-
-def test_u_values_in_nats_scale_the_bit_profile():
-    d = random_distribution(np.random.default_rng(19), (2, 3, 4, 2))
-    assert d.u_values(base=math.e) == pytest.approx(
-        [u * math.log(2.0) for u in d.u_values()], abs=1e-12
-    )
 
 
 def test_independent_variables_have_zero_profile():
@@ -358,21 +345,12 @@ def test_constructors_take_numpy_integers_and_relabel_big_samples():
         JointDistribution.from_pmf({(2**64, 0): 0.5, (0, 1): 0.5})
 
 
-def test_from_pmf_with_explicit_alphabet_sizes():
-    d = JointDistribution.from_pmf({(0, 1): 0.5, (1, 1): 0.5}, alphabet_sizes=(3, 2))
-    assert d.pmf.tolist() == [[0.0, 0.5], [0.0, 0.5], [0.0, 0.0]]
-    with pytest.raises(DistributionFormatError, match=r"state \(2, 1\) outside alphabet sizes \(2, 2\)"):
-        JointDistribution.from_pmf({(0, 0): 0.5, (2, 1): 0.5}, alphabet_sizes=(2, 2))
-    with pytest.raises(DistributionFormatError, match=r"alphabet sizes \(2,\) do not match"):
-        JointDistribution.from_pmf({(0, 1): 1.0}, alphabet_sizes=(2,))
-
-
 def test_from_pmf_refuses_oversized_table_before_allocating():
     # 10^12 cells would need 8 TB; the refusal must come first
     with pytest.raises(DistributionFormatError, match="dense table"):
         JointDistribution.from_pmf({(0, 0): 0.5, (999_999, 999_999): 0.5})
     with pytest.raises(DistributionFormatError, match="dense table"):
-        JointDistribution.from_pmf({(0,): 1.0}, alphabet_sizes=(MAX_DENSE_CELLS + 1,))
+        JointDistribution.from_pmf({(MAX_DENSE_CELLS,): 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -449,51 +427,6 @@ def test_load_csv_refuses_symbols_past_the_int_digit_limit(template):
 # ---------------------------------------------------------------------------
 # the numpy reader against the row loop
 # ---------------------------------------------------------------------------
-
-# Cells that both readers take, and cells that either may refuse or read
-# leniently: whitespace, quotes, signs, digit separators, non-ASCII digits,
-# symbols past int64, comments and non-finite probabilities.
-GOOD_SYMBOLS = ["0", "1", "2"]
-ODD_SYMBOLS = [
-    " 1", "2 ", "\t0", "\xa01", '"1"', '" 2 "', '"1"2', "+1", "-1", "-0", "00", "1_0", "\u0663",
-    "9223372036854775807", "9223372036854775808", str(2**70), "", " ", "1.0", "1.5", "#1", "0x1",
-]
-ODD_PROBS = [
-    "0.5", " 0.25", '"0.5"', "0", "-0", "1e-300", ".5", "nan", "inf", "-inf", "-0.5", "1_0", "", "#",
-]
-
-
-@st.composite
-def csv_texts(draw):
-    nvars = draw(st.integers(1, 3))
-    has_p = draw(st.booleans())
-    ncols = nvars + has_p
-    header = ",".join([f"x{i + 1}" for i in range(nvars)] + (["p"] if has_p else []))
-    # states from a small space, so that p-tables repeat a state now and then
-    states = draw(st.lists(
-        st.tuples(*[st.sampled_from(GOOD_SYMBOLS)] * nvars), min_size=0, max_size=6
-    ))
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(states), max_size=len(states)))
-    total = sum(weights)
-    rows = [
-        list(state) + ([repr(w / total) if total else "0"] if has_p else [])
-        for state, w in zip(states, weights)
-    ]
-    odd = st.one_of(
-        st.just([]),  # a blank line
-        st.just([" "] * ncols),  # blank cells
-        st.lists(st.sampled_from(GOOD_SYMBOLS), min_size=1, max_size=ncols + 1),  # ragged
-        st.just(["#comment"]),
-        st.tuples(*[st.sampled_from(ODD_SYMBOLS)] * nvars, *[st.sampled_from(ODD_PROBS)] * has_p).map(list),
-    )
-    for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
-    lines = [header] + [",".join(row) for row in rows]
-    endings = st.sampled_from(["\n", "\r\n", "\r"])
-    if draw(st.booleans()):
-        ending = draw(endings)
-        return "".join(line + ending for line in lines)
-    return "".join(line + draw(endings) for line in lines)
 
 
 def _outcome(text: str):

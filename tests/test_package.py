@@ -55,3 +55,33 @@ def test_every_click_echo_names_its_stream():
             ):
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert unnamed == []
+
+
+def _leading_literal(comment: str):
+    """The Python literal a result comment starts with: ``(4, 3), exact`` -> (4, 3)."""
+    words = comment.split(" ")
+    for end in range(1, len(words) + 1):
+        try:
+            return ast.literal_eval(" ".join(words[:end]).rstrip(","))
+        except (ValueError, SyntaxError):
+            continue
+    raise AssertionError(f"no literal at the start of {comment!r}")
+
+
+def test_readme_quick_start_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        comment = lines[statement.end_lineno - 1][statement.end_col_offset :].strip()
+        if not comment:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(statement, ast.Expr) and comment.startswith("#"), comment
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        assert value == _leading_literal(comment[1:].strip()), (ast.unparse(statement), value)
+        checked += 1
+    assert checked == block.count("#") > 0
