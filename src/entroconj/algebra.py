@@ -109,7 +109,8 @@ class EntropyExpression:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[int, Rational] | None = None):
-        n = int(n)
+        if type(n) is not int:
+            n = _as_int(n, "variable count")
         if n < 1:
             raise ValueError("an expression needs at least one variable")
         full = (1 << n) - 1
@@ -117,7 +118,7 @@ class EntropyExpression:
         if terms:
             for mask, coeff in terms.items():
                 if type(mask) is not int:
-                    mask = int(mask)
+                    mask = _as_int(mask, "subset mask")
                 if not 0 <= mask <= full:
                     raise ValueError(f"subset mask {mask} outside 0..{full}")
                 c = coeff if type(coeff) is Fraction else Fraction(coeff)
@@ -201,10 +202,9 @@ def entropy_term(n: int, members: Iterable[int]) -> EntropyExpression:
 def conjugate(e: EntropyExpression) -> EntropyExpression:
     """Apply the involution H(X^a) -> H(X^{-a}) - H(X), extended linearly."""
     full = (1 << e.n) - 1
-    out: dict[int, Fraction] = defaultdict(Fraction)
-    for mask, c in e._terms.items():
-        out[full ^ mask] += c
-        out[full] -= c
+    # full ^ mask == full only for the empty mask, which is never stored
+    out = {full ^ mask: c for mask, c in e._terms.items()}
+    out[full] = -sum(e._terms.values())
     return EntropyExpression(e.n, out)
 
 
@@ -276,36 +276,35 @@ def r_expression(k: int, n: int) -> EntropyExpression:
     return EntropyExpression(n, dict.fromkeys(_masks_of_size(n, k), Fraction(1, comb(n, k))))
 
 
+def _r_weights(e: EntropyExpression) -> list[Fraction] | None:
+    """Coefficients a_0..a_n of ``e`` over r_0..r_n, or None if not label-symmetric.
+
+    One pass: each coefficient must equal the first one seen at its size, and
+    every size present must cover all C(n, s) subsets, since stored
+    coefficients are nonzero and an absent subset counts as zero.
+    """
+    n = e.n
+    first: list[Fraction | None] = [None] * (n + 1)
+    count = [0] * (n + 1)
+    for mask, c in e._terms.items():
+        s = mask.bit_count()
+        if first[s] is None:
+            first[s] = c
+        elif c != first[s]:
+            return None
+        count[s] += 1
+    if any(k != comb(n, s) for s, k in enumerate(count) if k):
+        return None
+    return [Fraction(0) if w is None else w * comb(n, s) for s, w in enumerate(first)]
+
+
 def is_label_symmetric(e: EntropyExpression) -> bool:
     """True when the coefficient of H(X^a) depends only on |a|.
 
     Every subset of a given size must carry the same coefficient, counting
     absent subsets as zero.
     """
-    by_size: dict[int, set[Fraction]] = defaultdict(set)
-    count_by_size: dict[int, int] = defaultdict(int)
-    for mask, c in e._terms.items():
-        size = mask.bit_count()
-        by_size[size].add(c)
-        count_by_size[size] += 1
-    for size, coeffs in by_size.items():
-        if len(coeffs) > 1:
-            return False
-        # stored coefficients are nonzero, so a partially covered size
-        # mixes zero and nonzero coefficients
-        if count_by_size[size] != comb(e.n, size):
-            return False
-    return True
-
-
-def _r_weights(e: EntropyExpression) -> list[Fraction]:
-    """Coefficients a_1..a_n of a label-symmetric expression over r_1..r_n."""
-    n = e.n
-    a = [Fraction(0)] * (n + 1)  # a[s] for s = 1..n; a[0] unused
-    for mask, c in e._terms.items():
-        s = mask.bit_count()
-        a[s] = c * comb(n, s)
-    return a
+    return _r_weights(e) is not None
 
 
 def to_u_basis(e: EntropyExpression) -> "UBasisVector":
@@ -316,12 +315,12 @@ def to_u_basis(e: EntropyExpression) -> "UBasisVector":
     overdetermined by one equation; a nonzero residual means the expression
     does not vanish on jointly independent variables and is rejected.
     """
-    if not is_label_symmetric(e):
+    a = _r_weights(e)
+    if a is None:
         raise NotLabelSymmetricError(
             "expression is not invariant under variable relabelling"
         )
     n = e.n
-    a = _r_weights(e)
     # u_k contributes 2 to r_k and -1 to each of r_{k-1}, r_{k+1}; with
     # sentinels c_0 = c_n = c_{n+1} = 0 the r_s equation reads
     # 2 c_s - c_{s-1} - c_{s+1} = a_s for s = 1..n.
@@ -368,6 +367,8 @@ class UBasisVector:
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _as_int(self.n, "variable count"))
         object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
         if len(self.c) != self.n - 1:
             raise ValueError(
@@ -407,15 +408,16 @@ def sym_skew_decompose(
     """Split an expression into its symmetric and skew-symmetric halves.
 
     Returns (s, t) with conjugate(s) = s, conjugate(t) = -t and s + t = e,
-    namely s = (e + e*)/2 and t = (e - e*)/2, all exact.
+    namely s = (e + e*)/2 and t = e - s = (e - e*)/2, all exact.
     """
-    conj = conjugate(e)
-    half = Fraction(1, 2)
-    return (e + conj) * half, (e - conj) * half
+    s = (e + conjugate(e)) * Fraction(1, 2)
+    return s, e - s
 
 
 def span_dimensions(n: int) -> tuple[int, int]:
     """(symmetric, skew-symmetric) dimensions of the n-variable metric space."""
+    if type(n) is not int:
+        n = _as_int(n, "variable count")
     if n < 2:
         raise ValueError("need at least two variables")
     return n // 2, (n - 1) // 2

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
-from .algebra import EntropyExpression, SymmetryClass, UBasisVector, classify, from_u_basis
+from .algebra import EntropyExpression, SymmetryClass, UBasisVector, _as_int, classify, from_u_basis
 
 __all__ = [
     "Metric",
@@ -55,7 +55,8 @@ def metric_expression(metric: MetricLike, n: int) -> EntropyExpression:
 
 def metric_u_coefficients(metric: MetricLike, n: int) -> UBasisVector:
     """Closed-form u-basis coordinates of a metric."""
-    n = int(n)
+    if type(n) is not int:
+        n = _as_int(n, "variable count")
     if n < 2:
         raise ValueError("metrics need at least two variables")
     metric = Metric(metric)

@@ -35,7 +35,6 @@ __all__ = [
     "cmi_atom_set",
     "verify_theorem1_sets",
     "reference_pid",
-    "pid_conjugate_check",
     "MAX_ENUM_SOURCES",
     "MAX_PID_SOURCES",
 ]
@@ -262,23 +261,3 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
         upper = sum(v for g, v in values.items() if atom_leq(f, g))
         values[f] = float((p_y * stacked.min(axis=0)).sum()) - upper
     return values
-
-
-def pid_conjugate_check(
-    dist: JointDistribution, a: Iterable[int], b: Iterable[int] = ()
-) -> tuple[float, float]:
-    """Dual-atom sum versus the complementary conditional MI.
-
-    Returns the pair (sum over the atoms of I(X^a ; Y | X^b) of their duals'
-    values, numeric I(X^a ; Y | X^{(a u b)^C})); the two agree whenever the
-    decomposition is consistent, realising the conjugation of conditional
-    mutual informations at the atom level.
-    """
-    m = dist.n - 1
-    ma = subset_mask(a, m)
-    mb = subset_mask(b, m)
-    values = reference_pid(dist)
-    lhs = sum(values[dual(f)] for f in cmi_atom_set(m, a, b))
-    complement = mask_members(((1 << m) - 1) ^ (ma | mb))
-    rhs = dist.conditional_mutual_information(mask_members(ma), (dist.n,), complement)
-    return float(lhs), float(rhs)

@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .algebra import EntropyExpression, UBasisVector, from_u_basis
+from .algebra import _as_int
 from .distributions import JointDistribution
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "boltzmann_distribution",
     "run_ensemble",
     "pca",
-    "pc_metric",
     "run_experiment",
     "emit_results",
 ]
@@ -66,6 +64,10 @@ class SpinEnsembleConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("n", "systems_per_condition", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _as_int(value, name))
         if self.n < 2:
             raise ValueError("need at least two spins")
         if self.n > MAX_SPINS:
@@ -76,6 +78,8 @@ class SpinEnsembleConfig:
             raise ValueError("coupling variance must be nonnegative")
         if self.systems_per_condition < 1:
             raise ValueError("need at least one system per condition")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative; numpy seeds are nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -206,18 +210,6 @@ def pca(data: np.ndarray) -> PCAResult:
     pc2 = _orient(eigenvectors[:, 1]) if eigenvectors.shape[1] > 1 else pc1 * 0.0
     scores = centered @ np.column_stack([pc1, pc2])
     return PCAResult(pc1, pc2, eigenvalues, scores)
-
-
-def pc_metric(loadings: Sequence[float]) -> EntropyExpression:
-    """The high-order metric sum_k loading_k * u_k as an entropy expression.
-
-    Loadings are converted to exact rationals at 1e-12 precision before
-    expansion, so the result lives in the symbolic layer.
-    """
-    coeffs = tuple(
-        Fraction(float(x)).limit_denominator(10**12) for x in loadings
-    )
-    return from_u_basis(UBasisVector(len(coeffs) + 1, coeffs))
 
 
 def run_experiment(config: SpinEnsembleConfig) -> tuple[EnsembleResult, PCAResult]:

@@ -16,8 +16,13 @@ from entroconj import (
     JointDistribution,
     Metric,
     UBasisVector,
+    cmi_atom_set,
+    dual,
     entropy_term,
+    from_u_basis,
+    mask_members,
     mutual_information_expr,
+    reference_pid,
     subset_mask,
 )
 
@@ -129,6 +134,27 @@ def definitional_u_expression(k: int, n: int) -> EntropyExpression:
             acc[mc] -= 1
     norm = Fraction(1, math.comb(n, k + 1) * math.comb(k + 1, 2))
     return EntropyExpression(n, {m: c * norm for m, c in acc.items()})
+
+
+def oracle_is_label_symmetric(e: EntropyExpression) -> bool:
+    """Label symmetry by two passes: distinct coefficients, then coverage, per size.
+
+    Kept apart from the library's one-pass scan so it can serve as its oracle.
+    """
+    by_size: dict[int, set[Fraction]] = defaultdict(set)
+    count_by_size: dict[int, int] = defaultdict(int)
+    for mask, c in e.terms.items():
+        size = mask.bit_count()
+        by_size[size].add(c)
+        count_by_size[size] += 1
+    for size, coeffs in by_size.items():
+        if len(coeffs) > 1:
+            return False
+        # stored coefficients are nonzero, so a partially covered size
+        # mixes zero and nonzero coefficients
+        if count_by_size[size] != math.comb(e.n, size):
+            return False
+    return True
 
 
 def distinct_term_count(e: EntropyExpression) -> int:
@@ -273,6 +299,16 @@ def definitional_metric_expression(metric, n: int) -> EntropyExpression:
     return _weighted_sum(n, parts)
 
 
+def pc_metric(loadings) -> EntropyExpression:
+    """The high-order metric sum_k loading_k * u_k as an entropy expression.
+
+    Loadings are converted to exact rationals at 1e-12 precision before
+    expansion, so the result lives in the symbolic layer.
+    """
+    coeffs = tuple(Fraction(float(x)).limit_denominator(10**12) for x in loadings)
+    return from_u_basis(UBasisVector(len(coeffs) + 1, coeffs))
+
+
 def loading_symmetry_deviation(loadings) -> float:
     """Relative deviation of a loading vector from index-reversal symmetry."""
     v = np.asarray(loadings, dtype=float)
@@ -387,6 +423,24 @@ def oracle_antichain_table(n: int, antichain) -> int:
     """Packed table of the up-set of an antichain: f(a) = 1 iff a member lies in a."""
     masks = [sum(1 << (i - 1) for i in member) for member in antichain]
     return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
+
+
+def pid_conjugate_check(dist: JointDistribution, a, b=()) -> tuple[float, float]:
+    """Dual-atom sum versus the complementary conditional MI.
+
+    Returns the pair (sum over the atoms of I(X^a ; Y | X^b) of their duals'
+    values, numeric I(X^a ; Y | X^{(a u b)^C})); the two agree whenever the
+    decomposition is consistent, realising the conjugation of conditional
+    mutual informations at the atom level.
+    """
+    m = dist.n - 1
+    ma = subset_mask(a, m)
+    mb = subset_mask(b, m)
+    values = reference_pid(dist)
+    lhs = sum(values[dual(f)] for f in cmi_atom_set(m, a, b))
+    complement = mask_members(((1 << m) - 1) ^ (ma | mb))
+    rhs = dist.conditional_mutual_information(mask_members(ma), (dist.n,), complement)
+    return float(lhs), float(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from entroconj import (
     from_u_basis,
     metric_expression,
     metric_u_coefficients,
-    pid_conjugate_check,
     reference_pid,
     run_experiment,
     span_dimensions,
@@ -66,6 +65,7 @@ from helpers import (
     linearly_separable,
     loading_skew_deviation,
     loading_symmetry_deviation,
+    pid_conjugate_check,
     product_of_marginals,
     random_distribution,
     random_expression,

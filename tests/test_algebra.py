@@ -5,6 +5,7 @@ the identities are asserted with zero tolerance.
 """
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from helpers import (
     definitional_metric_expression,
     definitional_u_expression,
     distinct_term_count,
+    oracle_is_label_symmetric,
     rational_rank,
     u_inner_product,
 )
@@ -86,6 +88,25 @@ def u_vectors(draw, min_n=2, max_n=8):
     return UBasisVector(n, tuple(draw(small_fractions) for _ in range(n - 1)))
 
 
+@st.composite
+def near_symmetric_expressions(draw, max_n=7):
+    """Per-size weights (in the u span or not), sometimes with one
+    coefficient nudged or one subset dropped."""
+    n = draw(st.integers(1, max_n))
+    if n >= 2 and draw(st.booleans()):
+        terms = dict(from_u_basis(draw(u_vectors(min_n=n, max_n=n))).terms)
+    else:
+        weights = [draw(small_fractions) for _ in range(n)]
+        terms = {m: weights[m.bit_count() - 1] for m in range(1, 1 << n)}
+    change = draw(st.sampled_from(["none", "nudge", "drop"]))
+    if change == "nudge":
+        mask = draw(st.integers(1, (1 << n) - 1))
+        terms[mask] = terms.get(mask, Fraction(0)) + draw(small_fractions.filter(bool))
+    elif change == "drop" and terms:
+        del terms[draw(st.sampled_from(sorted(terms)))]
+    return EntropyExpression(n, terms)
+
+
 # ---------------------------------------------------------------------------
 # masks and canonical form
 # ---------------------------------------------------------------------------
@@ -118,7 +139,7 @@ def test_canonical_form_drops_zero_terms_and_empty_set():
 
 def test_constructor_normalises_mask_and_coefficient_types():
     e = EntropyExpression(
-        3, {np.int64(3): 1, True: "1/2", np.uint8(4): 0.25, 6: Fraction(-2, 3)}
+        3, {np.int64(3): 1, np.int16(1): "1/2", np.uint8(4): 0.25, 6: Fraction(-2, 3)}
     )
     assert dict(e.terms) == {
         0b011: Fraction(1), 0b001: Fraction(1, 2), 0b100: Fraction(1, 4), 0b110: Fraction(-2, 3)
@@ -129,6 +150,31 @@ def test_constructor_normalises_mask_and_coefficient_types():
     for bad in (8, -1, np.int64(8), (1 << 64)):
         with pytest.raises(ValueError):
             EntropyExpression(3, {bad: Fraction(1)})
+
+
+def test_constructor_refuses_non_integer_masks():
+    # int() reads both 1.5 and True as subset {1}, so one key used to overwrite the other
+    with pytest.raises(ValueError, match="subset mask 1.5 is not an integer"):
+        EntropyExpression(3, {1.5: 1, True: 2})
+    for bad in (True, np.bool_(True), 2.0, "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            EntropyExpression(3, {bad: 1})
+
+
+@pytest.mark.parametrize("n", [2.9, 3.0, True, "3"])
+def test_variable_counts_must_be_integers(n):
+    with pytest.raises(ValueError, match="variable count"):
+        EntropyExpression(n)
+    with pytest.raises(ValueError, match="variable count"):
+        span_dimensions(n)
+    with pytest.raises(ValueError, match="variable count"):
+        UBasisVector(n, (1, 2))
+
+
+def test_variable_counts_accept_numpy_integers():
+    assert type(EntropyExpression(np.int64(3)).n) is int
+    assert span_dimensions(np.int64(5)) == (2, 2)
+    assert UBasisVector(np.uint8(3), (1, 2)) == UBasisVector(3, (1, 2))
 
 
 def test_expression_arithmetic_is_exact():
@@ -306,6 +352,29 @@ def test_to_u_basis_not_in_span():
     with pytest.raises(NotInSpanError) as excinfo:
         to_u_basis(entropy_term(2, [1, 2]))
     assert excinfo.value.residual == Fraction(-2)
+
+
+@given(near_symmetric_expressions())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_one_pass_scan_agrees_with_the_two_pass_oracle(e):
+    symmetric = oracle_is_label_symmetric(e)
+    assert is_label_symmetric(e) is symmetric
+    if not symmetric:
+        with pytest.raises(NotLabelSymmetricError):
+            to_u_basis(e)
+    else:
+        # a_s: the weight on r_s; u_1..u_{n-1} span exactly the a with sum_s s a_s = 0
+        n = e.n
+        a = [e.terms.get((1 << s) - 1, Fraction(0)) * comb(n, s) for s in range(n + 1)]
+        off_span = sum(s * a_s for s, a_s in enumerate(a))
+        if off_span:
+            with pytest.raises(NotInSpanError) as excinfo:
+                to_u_basis(e)
+            assert excinfo.value.residual == -off_span
+        else:
+            assert from_u_basis(to_u_basis(e)) == e
+    conj, half = conjugate(e), Fraction(1, 2)
+    assert sym_skew_decompose(e) == ((e + conj) * half, (e - conj) * half)
 
 
 def test_not_in_span_matches_numeric_dependency_failure():

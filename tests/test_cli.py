@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from entroconj import METRIC_NAMES, expression_to_json, metric_expression
+from entroconj import METRIC_NAMES, SpinEnsembleConfig, expression_to_json, metric_expression
 from entroconj import cli
 from entroconj.cli import main
 
@@ -261,15 +261,12 @@ def test_pid_verify_theorem1_sweep_checks_source_count_first(runner, n):
     _assert_input_error(result, f"source count {n} outside 1..5")
 
 
-def test_tolerance_is_an_option_of_pid_decompose(runner, tmp_path, monkeypatch):
-    assert "--tolerance" not in invoke(runner, ["--help"]).output
-    assert "--tolerance" in invoke(runner, ["pid", "decompose", "--help"]).output
+def test_pid_decompose_guard_refuses_an_inconsistent_decomposition(runner, tmp_path, monkeypatch):
+    assert "--tolerance" not in invoke(runner, ["pid", "decompose", "--help"]).output
     path = tmp_path / "xor.csv"
     path.write_text(XOR_CSV)
-    default = invoke(runner, ["pid", "decompose", str(path)])
-    assert invoke(runner, ["pid", "decompose", "--tolerance", "1e-6", str(path)]).output == default.output
-    assert invoke(runner, ["pid", "decompose", "--tolerance", "0", str(path)]).exit_code == 0
-    # a decomposition off by 1e-3 must trip the default guard and pass a looser one
+    assert invoke(runner, ["pid", "decompose", str(path)]).exit_code == 0
+    # a decomposition off by 1e-3 must trip the consistency guard
     exact = cli.reference_pid
 
     def off_by_a_little(dist):
@@ -279,17 +276,6 @@ def test_tolerance_is_an_option_of_pid_decompose(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "reference_pid", off_by_a_little)
     _assert_error(invoke(runner, ["pid", "decompose", str(path)]), 3, "decomposition inconsistent")
-    assert invoke(runner, ["pid", "decompose", "--tolerance", "1e-2", str(path)]).exit_code == 0
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-def test_pid_decompose_refuses_bad_tolerance_before_reading(runner, tmp_path, value):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,x2,p\n0,zebra,1\n")
-    result = invoke(runner, ["pid", "decompose", "--tolerance", value, str(path)])
-    _assert_input_error(result, "--tolerance must be finite and >= 0")
-    assert "line" not in result.output
-    assert result.stdout == ""
 
 
 def test_pid_decompose_too_many_sources(runner, tmp_path):
@@ -485,6 +471,20 @@ def test_spinlab_rejects_bad_config(runner, tmp_path):
         main, ["spinlab", "--n", "1", "--out", str(tmp_path / "x")]
     )
     assert result.exit_code == 2
+
+
+def test_spinlab_rejects_a_negative_seed_before_writing(runner, tmp_path):
+    out = tmp_path / "x"
+    result = invoke(runner, ["spinlab", "--n", "3", "--count", "1", "--seed", "-1", "--out", str(out)])
+    _assert_input_error(result, "seed -1 is negative")
+    assert not out.exists()
+
+
+def test_spinlab_defaults_are_the_published_run(runner, tmp_path):
+    out = tmp_path / "run"
+    assert invoke(runner, ["spinlab", "--out", str(out)]).exit_code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == SpinEnsembleConfig().to_dict()
 
 
 @pytest.mark.parametrize("option, value", [("--beta", "nan"), ("--mu", "inf"), ("--sigma2", "nan")])

@@ -78,6 +78,13 @@ def test_n_below_two_rejected():
         metric_u_coefficients("tc", 1)
 
 
+@pytest.mark.parametrize("n", [3.7, 3.0, True])
+def test_variable_count_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="variable count"):
+        metric_u_coefficients("tc", n)
+    assert metric_u_coefficients("tc", np.int64(3)) == metric_u_coefficients("tc", 3)
+
+
 def test_conjugation_classes():
     assert metric_conjugation_class("ii", 4) is SymmetryClass.SYMMETRIC
     assert metric_conjugation_class("ii", 5) is SymmetryClass.SKEW_SYMMETRIC

@@ -13,7 +13,6 @@ from entroconj import (
     cmi_atom_set,
     dual,
     enumerate_atoms,
-    pid_conjugate_check,
     reference_pid,
     verify_theorem1_sets,
 )
@@ -27,6 +26,7 @@ from helpers import (
     oracle_dual,
     oracle_table,
     oracle_table_error,
+    pid_conjugate_check,
     random_distribution,
     xor_triple,
 )

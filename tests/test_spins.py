@@ -13,7 +13,6 @@ from entroconj import (
     boltzmann_distribution,
     classify,
     emit_results,
-    pc_metric,
     pca,
     run_ensemble,
     run_experiment,
@@ -27,6 +26,7 @@ from helpers import (
     linearly_separable,
     loading_skew_deviation,
     loading_symmetry_deviation,
+    pc_metric,
 )
 
 SMALL = SpinEnsembleConfig(n=4, systems_per_condition=3, seed=11)
@@ -309,6 +309,24 @@ def test_config_validation():
         SpinEnsembleConfig(systems_per_condition=0)
     with pytest.raises(ValueError):
         SpinEnsembleConfig(n=13)
+
+
+@pytest.mark.parametrize("field", ["n", "systems_per_condition", "seed"])
+@pytest.mark.parametrize("value", [4.0, True, "4"])
+def test_config_refuses_non_integer_counts_and_seed(field, value):
+    with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+        SpinEnsembleConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    config = SpinEnsembleConfig(n=np.int64(4), systems_per_condition=np.uint8(2), seed=np.int32(7))
+    assert config == SpinEnsembleConfig(n=4, systems_per_condition=2, seed=7)
+    assert all(type(v) is int for v in (config.n, config.systems_per_condition, config.seed))
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed -1 is negative"):
+        SpinEnsembleConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["beta", "mu", "sigma2"])
