@@ -245,7 +245,7 @@ def _masks_of_size(n: int, s: int) -> list[int]:
     return masks
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def u_expression(k: int, n: int) -> EntropyExpression:
     """The order-(k+1) interdependence average u_k as an entropy expression.
 
@@ -256,6 +256,7 @@ def u_expression(k: int, n: int) -> EntropyExpression:
     size-(k-1) and size-(k+1) subset (r_0 = 0 contributes nothing).  The
     tests compare it with the pair average, ``definitional_u_expression``.
     """
+    k, n = _as_int(k, "k"), _as_int(n, "variable count")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must lie in 1..{n - 1}, got {k}")
     terms: dict[int, Fraction] = {}
@@ -266,9 +267,10 @@ def u_expression(k: int, n: int) -> EntropyExpression:
     return EntropyExpression(n, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def r_expression(k: int, n: int) -> EntropyExpression:
     """Average entropy over all size-k subsets; r_0 is the zero expression."""
+    k, n = _as_int(k, "k"), _as_int(n, "variable count")
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if k == 0:

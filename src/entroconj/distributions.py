@@ -19,7 +19,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from itertools import chain
 from math import comb, prod
 from pathlib import Path
@@ -252,9 +251,7 @@ class JointDistribution:
         where r_s is the mean entropy of the s-variable marginals (r_0 = 0).
         """
         n = self.n
-        sizes = np.zeros(1, dtype=np.intp)  # popcount of every mask
-        for _ in range(n):
-            sizes = np.concatenate((sizes, sizes + 1))
+        sizes = np.bitwise_count(np.arange(1 << n))  # popcount of every mask
         r = np.bincount(sizes, weights=self._entropy_table(), minlength=n + 1)
         r /= [comb(n, s) for s in range(n + 1)]
         return tuple((2.0 * r[1:n] - r[: n - 1] - r[2:]).tolist())
@@ -313,22 +310,21 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
 
     None leaves the body to :func:`_from_rows`, the only reader that words
     an error and the only one that takes what ``loadtxt`` refuses (blank
-    cells, ``1_0``, non-ASCII digits, symbols past int64).  So every input
-    that ``loadtxt`` refuses, or that fails a check below, goes there.
+    cells, ``1_0``, non-ASCII digits, symbols past int64).  The constructors
+    check the symbols and probabilities; this checks only what they cannot
+    see (the row loop's field limits, the sum as written, a duplicate state),
+    and every input refused here or by a constructor goes to the row loop.
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
     # samples: an (rows, columns) int64 array; p-table: one record per row
     dtype = [("s", np.int64, (nvars,)), ("p", np.float64)] if has_p else np.int64
     try:
-        with warnings.catch_warnings():
-            # numpy < 2 truncates a symbol such as "1.5" under this warning
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(
-                io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                ndmin=1 if has_p else 2,
-            )
-    except (ValueError, OverflowError, DeprecationWarning):
+        table = np.loadtxt(
+            io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+            ndmin=1 if has_p else 2,
+        )
+    except (ValueError, OverflowError):
         return None
     if not has_p and table.shape[1] != nvars:
         return None
@@ -338,27 +334,31 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     # two, which bounds the longest; past the limit, the lines bound it unless
     # a quote hides a line break.
     fields = len(table) * (nvars + has_p)
-    int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    limit = min(csv.field_size_limit(), int_digits or math.inf)
+    limit = min(csv.field_size_limit(), sys.get_int_max_str_digits() or math.inf)  # 0: no limit
     if len(body) - 2 * fields + 2 > limit and (
         '"' in body or max(map(len, body.split("\n"))) > limit
     ):
         return None
-    states = table["s"] if has_p else table
-    if (states < 0).any():
+    try:
+        if not has_p:
+            return JointDistribution.from_samples(table)
+        probs = table["p"].tolist()
+        _check_sum(probs)
+        mapping = dict(zip(map(tuple, table["s"].tolist()), probs))
+        if len(mapping) != len(probs):
+            return None  # a duplicate state
+        return JointDistribution.from_pmf(mapping)
+    except ValueError:
         return None
-    if not has_p:
-        return JointDistribution.from_samples(states)
-    probs = table["p"]
-    if not (np.isfinite(probs) & (probs >= 0)).all():
-        return None
-    probs = probs.tolist()
-    if abs(sum(probs) - 1.0) > SUM_TOLERANCE:
-        return None
-    mapping = dict(zip(map(tuple, states.tolist()), probs))
-    if len(mapping) != len(probs):
-        return None  # a duplicate state
-    return JointDistribution.from_pmf(mapping)
+
+
+def _check_sum(probs: list[float]) -> None:
+    """Refuse probabilities whose left-to-right sum is not 1 within tolerance."""
+    total = sum(probs)
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise DistributionFormatError(
+            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
+        )
 
 
 def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:
@@ -423,9 +423,5 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
         raise DistributionFormatError("line 2: no data rows")
     if not has_p:
         return JointDistribution.from_samples(states)
-    total = sum(probs)
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise DistributionFormatError(
-            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
-        )
+    _check_sum(probs)
     return JointDistribution.from_pmf(dict(zip(states, probs)))

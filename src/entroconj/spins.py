@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -218,13 +217,6 @@ def run_experiment(config: SpinEnsembleConfig) -> tuple[EnsembleResult, PCAResul
     return ensemble, pca(ensemble.u_matrix)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def emit_results(
     ensemble: EnsembleResult,
     pca_result: PCAResult,
@@ -237,56 +229,39 @@ def emit_results(
     Output is deterministic byte for byte for a fixed configuration.
     """
     out = Path(out_dir)
+    n_cols = ensemble.u_matrix.shape[1]
+    labels = list(zip(ensemble.conditions, ensemble.system_ids))
+    loadings = zip(pca_result.loadings_pc1.tolist(), pca_result.loadings_pc2.tolist())
+    # name -> (header, rows); str of a Python float is its shortest repr
+    tables = {
+        "u_profiles": (
+            ["condition", "system_id"] + [f"u{k}" for k in range(1, n_cols + 1)],
+            [[*label, *row] for label, row in zip(labels, ensemble.u_matrix.tolist())],
+        ),
+        "loadings": (["k", "pc1", "pc2"], [[k, *pcs] for k, pcs in enumerate(loadings, 1)]),
+        "scores": (
+            ["condition", "system_id", "pc1", "pc2"],
+            [[*label, *row] for label, row in zip(labels, pca_result.scores.tolist())],
+        ),
+    }
+    paths = {name: out / f"{name}.csv" for name in tables}
+    paths["manifest"] = out / "manifest.json"
+    total = float(pca_result.explained_variance.sum())
+    manifest = {
+        "config": config.to_dict(),
+        "conditions": list(CONDITIONS),
+        "explained_variance": pca_result.explained_variance.tolist(),
+        "variance_share_pc1_pc2": (
+            float(pca_result.explained_variance[:2].sum()) / total if total > 0 else 0.0
+        ),
+        "rng": RNG_NAME,
+        "version": f"entroconj-{__version__}",
+    }
     try:
         out.mkdir(parents=True, exist_ok=True)
-        n_cols = ensemble.u_matrix.shape[1]
-        paths = {
-            "u_profiles": out / "u_profiles.csv",
-            "loadings": out / "loadings.csv",
-            "scores": out / "scores.csv",
-            "manifest": out / "manifest.json",
-        }
-        _write_csv(
-            paths["u_profiles"],
-            ["condition", "system_id"] + [f"u{k}" for k in range(1, n_cols + 1)],
-            (
-                [cond, sid] + [float(x) for x in row]
-                for cond, sid, row in zip(
-                    ensemble.conditions, ensemble.system_ids, ensemble.u_matrix
-                )
-            ),
-        )
-        _write_csv(
-            paths["loadings"],
-            ["k", "pc1", "pc2"],
-            (
-                [k + 1, float(pca_result.loadings_pc1[k]), float(pca_result.loadings_pc2[k])]
-                for k in range(n_cols)
-            ),
-        )
-        _write_csv(
-            paths["scores"],
-            ["condition", "system_id", "pc1", "pc2"],
-            (
-                [cond, sid, float(s[0]), float(s[1])]
-                for cond, sid, s in zip(
-                    ensemble.conditions, ensemble.system_ids, pca_result.scores
-                )
-            ),
-        )
-        total = float(pca_result.explained_variance.sum())
-        manifest = {
-            "config": config.to_dict(),
-            "conditions": list(CONDITIONS),
-            "explained_variance": [float(v) for v in pca_result.explained_variance],
-            "variance_share_pc1_pc2": (
-                float(pca_result.explained_variance[:2].sum()) / total
-                if total > 0
-                else 0.0
-            ),
-            "rng": RNG_NAME,
-            "version": f"entroconj-{__version__}",
-        }
+        for name, (header, rows) in tables.items():
+            lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+            paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         paths["manifest"].write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

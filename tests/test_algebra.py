@@ -177,6 +177,18 @@ def test_variable_counts_accept_numpy_integers():
     assert UBasisVector(np.uint8(3), (1, 2)) == UBasisVector(3, (1, 2))
 
 
+@pytest.mark.parametrize("build", [u_expression, r_expression])
+@pytest.mark.parametrize("k, n", [(True, 3), (1.5, 4), (1, 4.0), (1, True)])
+def test_u_and_r_expressions_refuse_non_integer_arguments(build, k, n):
+    build(1, 3)  # a cached (1, 3) must not answer for (True, 3) or (1, True)
+    with pytest.raises(ValueError, match="is not an integer"):
+        build(k, n)
+
+
+def test_u_expression_accepts_numpy_integers():
+    assert u_expression(np.int64(2), 4) == u_expression(2, 4)
+
+
 def test_expression_arithmetic_is_exact():
     a = entropy_term(2, [1])
     b = entropy_term(2, [2])

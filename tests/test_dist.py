@@ -365,6 +365,9 @@ def _load(text: str) -> JointDistribution:
 def test_load_csv_duplicate_state_rejected():
     with pytest.raises(DistributionFormatError):
         _load("x1,x2,p\n0,0,0.5\n0,0,0.5\n")
+    # merged, the states would pass every constructor check as [0.5, 0.5]
+    with pytest.raises(DistributionFormatError, match="line 4: duplicate state"):
+        _load("x1,p\n0,0.5\n1,0\n1,0.5\n")
 
 
 def test_load_csv_bad_sum_rejected():

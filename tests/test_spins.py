@@ -271,6 +271,19 @@ def test_emit_writes_all_products(tmp_path):
     assert len(scores) == 1 + 9
     profiles = paths["u_profiles"].read_text().splitlines()
     assert profiles[0] == "condition,system_id,u1,u2,u3"
+    # the numbers read back exactly, each in its own column
+    loadings = paths["loadings"].read_text().splitlines()
+    assert loadings[0] == "k,pc1,pc2"
+    table = np.array([[float(x) for x in line.split(",")] for line in loadings[1:]])
+    assert table.tolist() == np.column_stack(
+        [np.arange(1, 4), result.loadings_pc1, result.loadings_pc2]
+    ).tolist()
+    for lines, values in ((scores, result.scores), (profiles, ensemble.u_matrix)):
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [
+            [c, str(i)] for c, i in zip(ensemble.conditions, ensemble.system_ids)
+        ]
+        assert [[float(x) for x in row[2:]] for row in rows] == values.tolist()
 
 
 def test_emit_is_byte_identical_across_reruns(tmp_path):
