@@ -85,6 +85,14 @@ def _symbol_array(states, empty: str) -> np.ndarray:
     return states
 
 
+def _check_probabilities(arr: np.ndarray) -> None:
+    """Refuse probabilities unless every one is finite and nonnegative."""
+    if not np.isfinite(arr).all():
+        raise ValueError("probabilities must be finite")
+    if (arr < 0).any():
+        raise ValueError("probabilities must be nonnegative")
+
+
 def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
     """Dense array of ``sizes`` holding the summed ``weights`` (default: the
     count) of each state, one row of in-range ``codes`` per state.
@@ -119,10 +127,7 @@ class JointDistribution:
             raise ValueError("a distribution needs at least one variable")
         if arr.ndim > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} variables are supported")
-        if not np.isfinite(arr).all():
-            raise ValueError("probabilities must be finite")
-        if (arr < 0).any():
-            raise ValueError("probabilities must be nonnegative")
+        _check_probabilities(arr)
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(
@@ -309,11 +314,11 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     """The distribution in ``body`` read by numpy's C parser, or None.
 
     None leaves the body to :func:`_from_rows`, the only reader that words
-    an error and the only one that takes what ``loadtxt`` refuses (blank
-    cells, ``1_0``, non-ASCII digits, symbols past int64).  The constructors
-    check the symbols and probabilities; this checks only what they cannot
-    see (the row loop's field limits, the sum as written, a duplicate state),
-    and every input refused here or by a constructor goes to the row loop.
+    an error in a row and the only one that takes what ``loadtxt`` refuses
+    (blank cells, ``1_0``, non-ASCII digits, symbols past int64).  The
+    symbols and probabilities go through the constructors' own checks; this
+    adds only what they cannot see (the row loop's field limits, the sum as
+    written, a duplicate state).
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
@@ -339,17 +344,24 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
         '"' in body or max(map(len, body.split("\n"))) > limit
     ):
         return None
+    # A row that breaks a rule (a negative symbol, a probability that is not
+    # finite or is negative, a repeated state) or a sum off 1 goes to the row
+    # loop, which words it.  A later refusal (too many cells or variables) is
+    # the row loop's own, word for word, so it is raised here.
     try:
-        if not has_p:
-            return JointDistribution.from_samples(table)
-        probs = table["p"].tolist()
-        _check_sum(probs)
-        mapping = dict(zip(map(tuple, table["s"].tolist()), probs))
-        if len(mapping) != len(probs):
-            return None  # a duplicate state
-        return JointDistribution.from_pmf(mapping)
+        _symbol_array(table["s"] if has_p else table, "no data rows")
+        if has_p:
+            _check_probabilities(table["p"])
+            probs = table["p"].tolist()
+            _check_sum(probs)
     except ValueError:
         return None
+    if not has_p:
+        return JointDistribution.from_samples(table)
+    mapping = dict(zip(map(tuple, table["s"].tolist()), probs))
+    if len(mapping) != len(probs):
+        return None  # a duplicate state
+    return JointDistribution.from_pmf(mapping)
 
 
 def _check_sum(probs: list[float]) -> None:

@@ -427,6 +427,21 @@ def test_load_csv_refuses_symbols_past_the_int_digit_limit(template):
         _load(template.format("0" * 4300 + "1"))
 
 
+@pytest.mark.parametrize("text", ["x1,x2\n0,1\n1,-1\n", "x1,x2,p\n0,1,0.5\n1,-1,0.5\n"])
+def test_load_csv_words_a_negative_symbol(text):
+    with pytest.raises(DistributionFormatError, match="line 3: symbol -1 is negative"):
+        _load(text)
+
+
+@pytest.mark.parametrize("token", ["1.5", "1.0", "1e0"])
+@pytest.mark.parametrize("template", ["x1,x2\n0,{}\n1,1\n", "x1,x2,p\n0,{},0.5\n1,1,0.5\n"])
+def test_load_csv_refuses_a_float_symbol(template, token):
+    # numpy's reader refuses these since numpy 2.4; older ones truncate
+    # "1.5" to 1 under a DeprecationWarning
+    with pytest.raises(DistributionFormatError, match=f"line 2: symbol '{token}' is not an integer"):
+        _load(template.format(token))
+
+
 # ---------------------------------------------------------------------------
 # the numpy reader against the row loop
 # ---------------------------------------------------------------------------
@@ -448,3 +463,22 @@ def test_numpy_reader_matches_the_row_loop(text):
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
     assert _outcome(text) == rows_only
+
+
+_WIDE = ",".join(f"x{i}" for i in range(1, 22))  # one variable past MAX_VARIABLES
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("x1,x2\n" + "".join(f"{i},{i}\n" for i in range(4097)), "dense table of 16785409 cells"),
+    (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.5\n", "dense table of 16777217 cells"),
+    (_WIDE + "\n" + ",".join("0" * 21) + "\n", "at most 20 variables"),
+    (_WIDE + ",p\n" + ",".join("0" * 21) + ",1\n", "at most 20 variables"),
+], ids=["samples-cells", "p-table-cells", "samples-variables", "p-table-variables"])
+def test_numpy_reader_refuses_an_oversized_table_itself(text, refusal):
+    # a refusal that no single row causes is the row loop's too, word for
+    # word, so the numpy reader raises it without reading the body again
+    with mock.patch.object(distributions, "_from_columns", return_value=None):
+        rows_only = _outcome(text)
+    assert refusal in rows_only[1]
+    with mock.patch.object(distributions, "_from_rows", side_effect=AssertionError("read twice")):
+        assert _outcome(text) == rows_only
