@@ -436,8 +436,8 @@ def test_load_csv_words_a_negative_symbol(text):
 @pytest.mark.parametrize("token", ["1.5", "1.0", "1e0"])
 @pytest.mark.parametrize("template", ["x1,x2\n0,{}\n1,1\n", "x1,x2,p\n0,{},0.5\n1,1,0.5\n"])
 def test_load_csv_refuses_a_float_symbol(template, token):
-    # numpy's reader refuses these since numpy 2.4; older ones truncate
-    # "1.5" to 1 under a DeprecationWarning
+    # numpy's reader must refuse these (numpy 2.4, the floor, does); numpy
+    # 1.x truncated "1.5" to 1 under a DeprecationWarning
     with pytest.raises(DistributionFormatError, match=f"line 2: symbol '{token}' is not an integer"):
         _load(template.format(token))
 
