@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from numbers import Integral
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -204,7 +204,10 @@ def conjugate(e: EntropyExpression) -> EntropyExpression:
     full = (1 << e.n) - 1
     # full ^ mask == full only for the empty mask, which is never stored
     out = {full ^ mask: c for mask, c in e._terms.items()}
-    out[full] = -sum(e._terms.values())
+    # minus the sum of every coefficient, as one integer sum over a common
+    # denominator instead of a gcd per Fraction addition
+    den = lcm(*(c.denominator for c in e._terms.values()))
+    out[full] = Fraction(-sum(c.numerator * (den // c.denominator) for c in e._terms.values()), den)
     return EntropyExpression(e.n, out)
 
 

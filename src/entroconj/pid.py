@@ -150,12 +150,17 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
     return MonotoneBooleanFunction(n, bits)
 
 
+def _minimal_sets(bits: int, n: int) -> int:
+    """The positions of a packed monotone table's minimal accessible sets."""
+    one_below = 0  # positions with a one at the subset lacking some source
+    for b, low in enumerate(_LOW[n]):
+        one_below |= (bits & low) << (1 << b)
+    return bits & ~one_below
+
+
 def bf_to_antichain(f: MonotoneBooleanFunction) -> Antichain:
     """The minimal accessible sets of an atom, as sorted index tuples."""
-    one_below = 0  # positions with a one at the subset lacking some source
-    for b, low in enumerate(_LOW[f.n]):
-        one_below |= (f.bits & low) << (1 << b)
-    minimal = f.bits & ~one_below
+    minimal = _minimal_sets(f.bits, f.n)
     return tuple(sorted(mask_members(m) for m in range(1 << f.n) if (minimal >> m) & 1))
 
 

@@ -425,6 +425,21 @@ def oracle_antichain_table(n: int, antichain) -> int:
     return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
 
 
+def atom_json(f, value: float | None = None) -> dict:
+    """One atom as the pid commands print it, built from the oracles above.
+
+    ``json.dumps(..., indent=2)`` of these dicts is the text the CLI's atom
+    renderer must print byte for byte.
+    """
+    obj = {
+        "antichain": [list(member) for member in oracle_antichain(f.n, f.bits)],
+        "table": oracle_table(f.n, f.bits),
+    }
+    if value is not None:
+        obj["value"] = value
+    return obj
+
+
 def pid_conjugate_check(dist: JointDistribution, a, b=()) -> tuple[float, float]:
     """Dual-atom sum versus the complementary conditional MI.
 

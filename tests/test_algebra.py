@@ -215,6 +215,34 @@ def test_conjugate_full_set_negates():
     assert conjugate(e) == -e
 
 
+def _full_set_coefficient_by_fraction_sums(e: EntropyExpression) -> Fraction:
+    return -sum(e.terms.values(), Fraction(0))
+
+
+def test_conjugate_full_set_sum_is_the_fraction_sum_on_the_metrics():
+    for n in range(2, 13):
+        full = (1 << n) - 1
+        for name in METRIC_NAMES:
+            e = metric_expression(name, n)
+            expected = _full_set_coefficient_by_fraction_sums(e)
+            assert conjugate(e).terms.get(full, Fraction(0)) == expected, (name, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=255), st.fractions(max_denominator=10**30)),
+        max_size=40,
+    ),
+)
+def test_conjugate_full_set_sum_is_the_fraction_sum_on_random_terms(n, terms):
+    full = (1 << n) - 1
+    e = EntropyExpression(n, {mask & full: c for mask, c in terms})
+    expected = _full_set_coefficient_by_fraction_sums(e)
+    assert conjugate(e).terms.get(full, Fraction(0)) == expected
+
+
 def test_conjugate_oinfo_flips_sign():
     o = metric_expression("oinfo", 3)
     assert conjugate(o) == -o

@@ -17,11 +17,20 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from entroconj import METRIC_NAMES, SpinEnsembleConfig, expression_to_json, metric_expression
+from entroconj import (
+    METRIC_NAMES,
+    SpinEnsembleConfig,
+    cmi_atom_set,
+    dual,
+    enumerate_atoms,
+    expression_to_json,
+    mask_members,
+    metric_expression,
+)
 from entroconj import cli
 from entroconj.cli import main
 
-from helpers import csv_texts
+from helpers import atom_json, csv_texts, oracle_antichain
 
 XOR_CSV = "x1,x2,x3,p\n0,0,0,0.25\n0,1,1,0.25\n1,0,1,0.25\n1,1,0,0.25\n"
 
@@ -259,6 +268,70 @@ def test_natural_log_output_is_the_bit_output_times_ln2(runner, tmp_path):
 def test_pid_verify_theorem1_sweep_checks_source_count_first(runner, n):
     result = invoke(runner, ["pid", "verify-theorem1", "--n", n])
     _assert_input_error(result, f"source count {n} outside 1..5")
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "6"])
+def test_pid_cmi_set_checks_source_count_first(runner, n):
+    result = invoke(runner, ["pid", "cmi-set", "--n", n, "--a", "[1]"])
+    _assert_input_error(result, f"source count {n} outside 1..5")
+    assert result.stdout == ""
+
+
+# The pid commands print atoms with their own renderer; its text must be
+# what json.dumps(indent=2) prints for the oracle dicts, byte for byte.
+
+
+def _assert_prints_indented(result, obj, context=None):
+    # lines, not one string: pytest's diff of two long strings takes minutes
+    assert result.exit_code == 0
+    assert result.stdout.split("\n") == (json.dumps(obj, indent=2) + "\n").split("\n"), context
+
+
+def _disjoint_pairs(n: int) -> list:
+    return [
+        (mask_members(ma), mask_members(mb))
+        for ma in range(1, 1 << n)
+        for mb in range(1 << n)
+        if not ma & mb
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_list_atoms_prints_the_indented_json_of_every_atom(runner, n):
+    result = invoke(runner, ["pid", "list-atoms", "--n", str(n)])
+    _assert_prints_indented(result, [atom_json(f) for f in enumerate_atoms(n)])
+
+
+def test_cmi_set_prints_the_indented_json_of_its_atoms(runner):
+    jobs = [(n, a, b) for n in (1, 2, 3, 4) for a, b in _disjoint_pairs(n)]
+    at_five = _disjoint_pairs(5)
+    picks = np.random.default_rng(13).choice(len(at_five), size=20, replace=False)
+    jobs += [(5, *at_five[i]) for i in picks.tolist()]
+    oracle = {f: atom_json(f) for n in range(1, 6) for f in enumerate_atoms(n)}
+    for n, a, b in jobs:
+        args = ["pid", "cmi-set", "--n", str(n), "--a", json.dumps(a), "--b", json.dumps(b)]
+        _assert_prints_indented(invoke(runner, args), [oracle[f] for f in cmi_atom_set(n, a, b)], args)
+
+
+def test_dual_prints_the_indented_json_of_the_dual_atom(runner):
+    for n in (1, 2, 3):
+        for f in enumerate_atoms(n):
+            antichain = json.dumps(oracle_antichain(n, f.bits))
+            result = invoke(runner, ["pid", "dual", "--n", str(n), "--antichain", antichain])
+            _assert_prints_indented(result, atom_json(dual(f)), antichain)
+
+
+@pytest.mark.parametrize("base, scale", [("2", 1.0), ("e", math.log(2.0))])
+def test_decompose_prints_each_value_as_json_does(runner, tmp_path, monkeypatch, base, scale):
+    path = tmp_path / "copy.csv"
+    path.write_text("x1,x2,x3,y,p\n0,0,0,0,0.5\n1,1,1,1,0.5\n")
+    odd = [0.0, -0.0, 5e-324, 1e300, -0.375, math.nan, math.inf, 1 / 3]
+    atoms = enumerate_atoms(3)  # table order, as decompose sorts them
+    values = {f: odd[i % len(odd)] for i, f in enumerate(atoms)}
+    monkeypatch.setattr(cli, "reference_pid", lambda dist: values)
+    monkeypatch.setattr(cli, "_DECOMPOSE_TOLERANCE", math.inf)  # these values fail the guard
+    result = invoke(runner, ["--log-base", base, "pid", "decompose", str(path)])
+    _assert_prints_indented(result, [atom_json(f, values[f] * scale) for f in atoms])
 
 
 def test_pid_decompose_guard_refuses_an_inconsistent_decomposition(runner, tmp_path, monkeypatch):
