@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import compress
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .algebra import (
     classify as classify_vector,
@@ -90,6 +92,16 @@ def _check_source_count(n: int) -> None:
         _fail(EXIT_INPUT_ERROR, f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
 
 
+def _bit_bytes(packed: np.ndarray, positions, zero: int = 0) -> bytes:
+    """Bit m of each packed table, for each m in ``positions``, row by row,
+    as the byte ``zero`` + bit.  Bytes, unlike nested lists, hold no objects
+    for the garbage collector to count."""
+    bits = packed[:, None] >> np.array(positions, dtype=packed.dtype)
+    bits &= 1
+    bits |= zero
+    return bits.astype(np.uint8).tobytes()
+
+
 def _atoms_text(n: int, atoms, values=None, depth: int = 1) -> str:
     """Atoms as ``json.dumps(obj, indent=2)`` prints them ``depth`` levels deep.
 
@@ -99,18 +111,25 @@ def _atoms_text(n: int, atoms, values=None, depth: int = 1) -> str:
     pad = "  " * depth
     # every nonempty source set's member list, rendered once, in the order
     # bf_to_antichain sorts them
+    order = sorted(range(1, 1 << n), key=mask_members)
     lists = []
-    for mask in sorted(range(1, 1 << n), key=mask_members):
+    for mask in order:
         members = ",\n".join(f"{pad}      {i}" for i in mask_members(mask))
-        lists.append((mask, f"{pad}    [\n{members}\n{pad}    ]"))
+        lists.append(f"{pad}    [\n{members}\n{pad}    ]")
+    # pid dual takes up to 10 sources, whose tables outgrow uint64
+    dtype = np.uint64 if n <= 6 else object
+    tables = np.array([f.bits for f in atoms], dtype=dtype)
+    picks = _bit_bytes(_minimal_sets(tables, n), order)
+    # table() puts the bit of position m at index m
+    width = 1 << n
+    table_text = _bit_bytes(tables, range(width), ord("0")).decode("ascii")
     texts = []
-    for k, f in enumerate(atoms):
-        minimal = _minimal_sets(f.bits, n)
-        antichain = ",\n".join(text for mask, text in lists if minimal >> mask & 1)
+    for k in range(len(tables)):
+        antichain = ",\n".join(compress(lists, picks[k * len(lists):(k + 1) * len(lists)]))
         value = "" if values is None else f',\n{pad}  "value": {json.dumps(values[k])}'
         texts.append(
             f'{pad}{{\n{pad}  "antichain": [\n{antichain}\n{pad}  ],\n'
-            f'{pad}  "table": "{f.table()}"{value}\n{pad}}}'
+            f'{pad}  "table": "{table_text[k * width:(k + 1) * width]}"{value}\n{pad}}}'
         )
     return ",\n".join(texts)
 

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import mask_members, subset_mask
+from .algebra import _as_int, mask_members, subset_mask
 from .distributions import PROB_ZERO, JointDistribution
 
 __all__ = [
@@ -64,17 +64,10 @@ class MonotoneBooleanFunction:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 10:
-            raise ValueError(f"source count {self.n} outside 1..10")
-        full = (1 << (1 << self.n)) - 1
-        if not 0 <= self.bits <= full:
-            raise ValueError("truth table does not fit the source count")
-        if self.bits == 0 or self.bits == full:
-            raise ValueError("constant functions are not atoms")
-        # adding source b moves position m to m + 2^b: f must stay 1 there
-        for b, low in enumerate(_LOW[self.n]):
-            if (self.bits & low) << (1 << b) & ~self.bits:
-                raise ValueError("truth table is not monotone")
+        if type(self.n) is not int or type(self.bits) is not int:
+            object.__setattr__(self, "n", _as_int(self.n, "source count"))
+            object.__setattr__(self, "bits", _as_int(self.bits, "truth table"))
+        _check_tables(self.bits, self.n)
 
     def value(self, mask: int) -> int:
         """f at a source-subset bitmask."""
@@ -83,6 +76,36 @@ class MonotoneBooleanFunction:
     def table(self) -> str:
         """Truth table as a 0/1 string in mask order."""
         return format(self.bits, f"0{1 << self.n}b")[::-1]
+
+
+def _one_below(tables, n: int):
+    """Positions of packed truth tables (a Python int or a numpy array) that
+    lie one source above a one of the table.
+
+    Adding source b moves position m to m + 2^b, so a monotone table has a
+    one at every such position.
+    """
+    below = 0
+    for b, low in enumerate(_LOW[n]):
+        below |= (tables & low) << (1 << b)
+    return below
+
+
+def _check_tables(tables, n: int) -> None:
+    """The constructor's checks on one packed table (a Python int) or, at
+    once, on a uint64 array of them; the messages are the constructor's."""
+    if not 1 <= n <= 10:
+        raise ValueError(f"source count {n} outside 1..10")
+    # an int's rules give bools, an array's give bool arrays; np.any would
+    # take both, but its dispatch costs more than the rules on a few atoms
+    fault = bool if isinstance(tables, int) else np.ndarray.any
+    full = (1 << (1 << n)) - 1
+    if fault((tables < 0) | (tables > full)):
+        raise ValueError("truth table does not fit the source count")
+    if fault((tables == 0) | (tables == full)):
+        raise ValueError("constant functions are not atoms")
+    if fault(_one_below(tables, n) & ~tables != 0):
+        raise ValueError("truth table is not monotone")
 
 
 def _dual_tables(tables, n: int):
@@ -105,6 +128,7 @@ def _atom_tables(n: int) -> np.ndarray:
     over k sources.  Row-major ``np.nonzero`` over the sorted (f0, f1) grid
     keeps lexicographic ``table()`` order: the constants are first and last.
     """
+    n = _as_int(n, "source count")
     if not 1 <= n <= MAX_ENUM_SOURCES:
         raise ValueError(f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
     tables = np.array([0, 1], dtype=np.uint64)
@@ -114,10 +138,22 @@ def _atom_tables(n: int) -> np.ndarray:
     return tables[1:-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
     """All atoms over n sources, in lexicographic truth-table order."""
-    return tuple(MonotoneBooleanFunction(n, bits) for bits in _atom_tables(n).tolist())
+    n = _as_int(n, "source count")
+    tables = _atom_tables(n)
+    _check_tables(tables, n)
+    # checked as one array above, so each atom skips __post_init__; setting
+    # the fields one by one keeps the instance dicts key-shared and small
+    new, put = object.__new__, object.__setattr__
+    atoms = []
+    for bits in tables.tolist():
+        f = new(MonotoneBooleanFunction)
+        put(f, "n", n)
+        put(f, "bits", bits)
+        atoms.append(f)
+    return tuple(atoms)
 
 
 def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction:
@@ -126,6 +162,7 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
     f(a) = 1 iff some member of the antichain is contained in a.  Members
     must be nonempty subsets of {1..n} with none containing another.
     """
+    n = _as_int(n, "source count")
     masks = sorted({subset_mask(member, n) for member in antichain})
     if not masks:
         raise ValueError("antichain must be nonempty")
@@ -150,12 +187,10 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
     return MonotoneBooleanFunction(n, bits)
 
 
-def _minimal_sets(bits: int, n: int) -> int:
-    """The positions of a packed monotone table's minimal accessible sets."""
-    one_below = 0  # positions with a one at the subset lacking some source
-    for b, low in enumerate(_LOW[n]):
-        one_below |= (bits & low) << (1 << b)
-    return bits & ~one_below
+def _minimal_sets(tables, n: int):
+    """The positions of packed monotone tables' minimal accessible sets
+    (a Python int or a numpy array)."""
+    return tables & ~_one_below(tables, n)
 
 
 def bf_to_antichain(f: MonotoneBooleanFunction) -> Antichain:
@@ -180,13 +215,13 @@ def cmi_atom_set(
     n: int, a: Iterable[int], b: Iterable[int] = ()
 ) -> tuple[MonotoneBooleanFunction, ...]:
     """Atoms that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
+    tables = _atom_tables(n)  # checks n before the index sets are read against it
     ma = subset_mask(a, n)
     mb = subset_mask(b, n)
     if ma & mb:
         raise ValueError("index sets must be disjoint")
     if not ma:
         raise ValueError("the first index set must be nonempty")
-    tables = _atom_tables(n)
     rows = np.flatnonzero((tables >> (ma | mb) & 1) > (tables >> mb & 1))
     atoms = enumerate_atoms(n)
     return tuple(atoms[i] for i in rows.tolist())

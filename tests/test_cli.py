@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from entroconj import (
     METRIC_NAMES,
     SpinEnsembleConfig,
+    antichain_to_bf,
     cmi_atom_set,
     dual,
     enumerate_atoms,
@@ -314,11 +315,14 @@ def test_cmi_set_prints_the_indented_json_of_its_atoms(runner):
 
 
 def test_dual_prints_the_indented_json_of_the_dual_atom(runner):
-    for n in (1, 2, 3):
-        for f in enumerate_atoms(n):
-            antichain = json.dumps(oracle_antichain(n, f.bits))
-            result = invoke(runner, ["pid", "dual", "--n", str(n), "--antichain", antichain])
-            _assert_prints_indented(result, atom_json(dual(f)), antichain)
+    atoms = [f for n in (1, 2, 3) for f in enumerate_atoms(n)]
+    # past 6 sources the tables no longer fit a uint64
+    wide = [(6, [[1], [2, 3, 4, 5, 6]]), (7, [[1, 2], [3, 4, 5], [6, 7]]), (10, [[1, 2], [3, 4, 5], [8], [9, 10]])]
+    atoms += [antichain_to_bf(antichain, n) for n, antichain in wide]
+    for f in atoms:
+        antichain = json.dumps(oracle_antichain(f.n, f.bits))
+        result = invoke(runner, ["pid", "dual", "--n", str(f.n), "--antichain", antichain])
+        _assert_prints_indented(result, atom_json(dual(f)), antichain)
 
 
 @pytest.mark.parametrize("base, scale", [("2", 1.0), ("e", math.log(2.0))])

@@ -1,5 +1,7 @@
 """Tests for the decomposition-atom lattice and its duality."""
 
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +18,7 @@ from entroconj import (
     reference_pid,
     verify_theorem1_sets,
 )
+from entroconj import pid
 from entroconj.pid import atom_leq
 
 from helpers import (
@@ -106,6 +109,75 @@ def test_constructor_matches_the_oracle_on_random_n5_tables():
         assert constructor_error(5, bits) == oracle_table_error(5, bits), bits
     for n in (0, 11, -3):
         assert constructor_error(n, 1) == oracle_table_error(n, 1)
+
+
+def test_enumerated_atoms_are_the_constructed_atoms():
+    for n in (1, 2, 3, 4, 5):
+        for f in enumerate_atoms(n):
+            g = MonotoneBooleanFunction(n, f.bits)
+            assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+            assert type(f.n) is int and type(f.bits) is int
+
+
+def test_enumerated_atoms_stay_frozen_and_pickle():
+    for f in enumerate_atoms(3):
+        with pytest.raises(FrozenInstanceError):
+            f.bits = 1
+        with pytest.raises(FrozenInstanceError):
+            f.n = 2
+        assert pickle.loads(pickle.dumps(f)) == f
+
+
+@pytest.fixture
+def fresh_enumeration():
+    enumerate_atoms.cache_clear()
+    yield
+    enumerate_atoms.cache_clear()
+
+
+@pytest.mark.parametrize("row", [0b0100, 0, 0b1111, 0b10000], ids=["non-monotone", "zero", "full", "too-wide"])
+def test_enumeration_checks_its_tables_as_the_constructor_does(monkeypatch, fresh_enumeration, row):
+    good = pid._atom_tables(2)
+    monkeypatch.setattr(pid, "_atom_tables", lambda n: np.append(good, np.uint64(row)))
+    message = constructor_error(2, row)
+    assert message is not None
+    with pytest.raises(ValueError) as caught:
+        enumerate_atoms(2)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n, bits, message", [
+    (True, 2, "source count True is not an integer"),
+    (2, 2.0, "truth table 2.0 is not an integer"),
+    (2.0, 2, "source count 2.0 is not an integer"),
+    ("2", 2, "source count '2' is not an integer"),
+    (2, True, "truth table True is not an integer"),
+    (2, "2", "truth table '2' is not an integer"),
+])
+def test_constructor_refuses_non_integer_fields(n, bits, message):
+    assert constructor_error(n, bits) == message
+
+
+@pytest.mark.parametrize("n, message", [
+    (True, "source count True is not an integer"),
+    (2.0, "source count 2.0 is not an integer"),
+    ("2", "source count '2' is not an integer"),
+])
+def test_atom_layer_refuses_a_non_integer_source_count(n, message):
+    enumerate_atoms(int(n))  # an untyped cache would answer n from this entry
+    for call in (enumerate_atoms, lambda n: cmi_atom_set(n, [1]), lambda n: antichain_to_bf([[1]], n)):
+        with pytest.raises(ValueError) as caught:
+            call(n)
+        assert str(caught.value) == message
+
+
+def test_atoms_take_numpy_integers_as_int():
+    f = MonotoneBooleanFunction(np.int64(2), np.uint64(0b1000))
+    assert type(f.n) is int and type(f.bits) is int
+    assert f == MonotoneBooleanFunction(2, 0b1000) and hash(f) == hash(MonotoneBooleanFunction(2, 0b1000))
+    atoms = enumerate_atoms(np.int64(3))
+    assert atoms == enumerate_atoms(3)
+    assert all(type(f.n) is int for f in atoms)
 
 
 def test_enumeration_range_check():
