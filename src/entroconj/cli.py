@@ -31,8 +31,8 @@ from .algebra import (
 from .distributions import JointDistribution, load_csv
 from .metrics import METRIC_NAMES, metric_expression
 from .pid import (
-    MAX_ENUM_SOURCES,
     _minimal_sets,
+    _packed,
     antichain_to_bf,
     cmi_atom_set,
     dual,
@@ -87,11 +87,6 @@ def _parse_index_list(text: str, what: str) -> list:
     return value
 
 
-def _check_source_count(n: int) -> None:
-    if not 1 <= n <= MAX_ENUM_SOURCES:
-        _fail(EXIT_INPUT_ERROR, f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
-
-
 def _bit_bytes(packed: np.ndarray, positions, zero: int = 0) -> bytes:
     """Bit m of each packed table, for each m in ``positions``, row by row,
     as the byte ``zero`` + bit.  Bytes, unlike nested lists, hold no objects
@@ -116,9 +111,7 @@ def _atoms_text(n: int, atoms, values=None, depth: int = 1) -> str:
     for mask in order:
         members = ",\n".join(f"{pad}      {i}" for i in mask_members(mask))
         lists.append(f"{pad}    [\n{members}\n{pad}    ]")
-    # pid dual takes up to 10 sources, whose tables outgrow uint64
-    dtype = np.uint64 if n <= 6 else object
-    tables = np.array([f.bits for f in atoms], dtype=dtype)
+    tables = _packed(atoms, n)
     picks = _bit_bytes(_minimal_sets(tables, n), order)
     # table() puts the bit of position m at index m
     width = 1 << n
@@ -253,10 +246,10 @@ def pid_dual(n, antichain_text):
 @click.option("--b", "b_text", default="[]", show_default=True)
 def pid_cmi_set(n, a_text, b_text):
     """Atoms that add up to I(X^a ; Y | X^b)."""
-    _check_source_count(n)
-    a = _parse_index_list(a_text, "--a")
-    b = _parse_index_list(b_text, "--b")
     try:
+        enumerate_atoms(n)  # checks n before the lists, and fills the cache read next
+        a = _parse_index_list(a_text, "--a")
+        b = _parse_index_list(b_text, "--b")
         atoms = cmi_atom_set(n, a, b)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
@@ -269,8 +262,8 @@ def pid_cmi_set(n, a_text, b_text):
 @click.option("--b", "b_text", default="[]", show_default=True)
 def pid_verify_theorem1(n, a_text, b_text):
     """Check the dual-atom identity for one (a, b) pair or all of them."""
-    _check_source_count(n)
     try:
+        enumerate_atoms(n)  # checks n before the lists, and fills the cache read next
         if a_text is not None:
             a = _parse_index_list(a_text, "--a")
             b = _parse_index_list(b_text, "--b")
@@ -310,8 +303,7 @@ def pid_decompose(ctx, dist_file):
                 EXIT_DOMAIN_ERROR,
                 f"decomposition inconsistent on {members}: {total} vs {expected}",
             )
-    atoms = sorted(values, key=lambda f: f.table())
-    _echo_atoms(nsources, atoms, [values[f] * scale for f in atoms])
+    _echo_atoms(nsources, values, [v * scale for v in values.values()])
 
 
 @main.command()

@@ -3,11 +3,11 @@
 A :class:`JointDistribution` stores the full probability mass function over
 a finite product alphabet as a dense array, one axis per variable.  Marginal
 entropies are computed by the plug-in estimator with the base-2 logarithm
-(bits).  A single marginal is summed straight from the pmf; the whole u_k
-profile fills a table of all 2^n marginal entropies in one depth-first walk
-of the subset lattice, where each marginal is one axis-sum of a parent with
-one more variable, and every later lookup reads that table.  Every value
-is in bits; ``entroconj --log-base e`` converts CLI output to nats.
+(bits).  The whole u_k profile fills a table of all 2^n marginal entropies in
+one depth-first walk of the subset lattice, each marginal one axis-sum of a
+parent with one more variable; a single marginal is summed from the pmf along
+the same path, so no value depends on whether the table was built.  Every
+value is in bits; ``entroconj --log-base e`` converts CLI output to nats.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -93,6 +93,14 @@ def _check_probabilities(arr: np.ndarray) -> None:
         raise ValueError("probabilities must be nonnegative")
 
 
+def _check_sum(total: float) -> None:
+    """Refuse probabilities whose sum ``total`` is not 1 within tolerance."""
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise DistributionFormatError(
+            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
+        )
+
+
 def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
     """Dense array of ``sizes`` holding the summed ``weights`` (default: the
     count) of each state, one row of in-range ``codes`` per state.
@@ -129,10 +137,7 @@ class JointDistribution:
             raise ValueError(f"at most {MAX_VARIABLES} variables are supported")
         _check_probabilities(arr)
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValueError(
-                f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
-            )
+        _check_sum(total)
         arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "_pmf", arr)
@@ -222,15 +227,19 @@ class JointDistribution:
         """Shannon entropy in bits of the marginal selected by ``mask``.
 
         Reads the entropy table once it exists; until then sums only this
-        marginal, so sparse expressions touch only the subsets they name.
+        marginal, so sparse expressions touch only the subsets they name,
+        one axis at a time and highest variable first, as the walk does.
         """
         table = self._entropies
         if table is not None:
             return float(table[mask])
         if not mask:
             return 0.0
-        drop = tuple(i for i in range(self.n) if not (mask >> i) & 1)
-        return _plugin_entropy_bits(self._pmf.sum(axis=drop) if drop else self._pmf)
+        marginal = self._pmf
+        for j in reversed(range(self.n)):
+            if not (mask >> j) & 1:
+                marginal = marginal.sum(axis=j)
+        return _plugin_entropy_bits(marginal)
 
     def subset_entropy(self, members: Iterable[int]) -> float:
         """Plug-in entropy in bits of the marginal on 1-based variable indices."""
@@ -353,7 +362,7 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
         if has_p:
             _check_probabilities(table["p"])
             probs = table["p"].tolist()
-            _check_sum(probs)
+            _check_sum(sum(probs))
     except ValueError:
         return None
     if not has_p:
@@ -362,15 +371,6 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     if len(mapping) != len(probs):
         return None  # a duplicate state
     return JointDistribution.from_pmf(mapping)
-
-
-def _check_sum(probs: list[float]) -> None:
-    """Refuse probabilities whose left-to-right sum is not 1 within tolerance."""
-    total = sum(probs)
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise DistributionFormatError(
-            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
-        )
 
 
 def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:
@@ -435,5 +435,5 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
         raise DistributionFormatError("line 2: no data rows")
     if not has_p:
         return JointDistribution.from_samples(states)
-    _check_sum(probs)
+    _check_sum(sum(probs))
     return JointDistribution.from_pmf(dict(zip(states, probs)))

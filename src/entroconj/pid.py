@@ -41,14 +41,15 @@ __all__ = [
 
 MAX_ENUM_SOURCES = 5  # the atom count explodes combinatorially beyond this
 MAX_PID_SOURCES = 3
+_MAX_TABLE_SOURCES = 10  # the most sources an atom's truth table covers
 
 AntichainLike = Iterable[Iterable[int]]
 Antichain = tuple[tuple[int, ...], ...]
 
 
-# _LOW[n][b] for n <= 10: the truth-table positions m < 2^n whose subset lacks
-# source b + 1, (2^(2^n) - 1) / (2^(2^b) + 1), runs of 2^b ones and 2^b zeros
-_LOW = [[((1 << (1 << n)) - 1) // ((1 << (1 << b)) + 1) for b in range(n)] for n in range(11)]
+# _LOW[n][b]: positions m < 2^n whose subset lacks source b + 1, runs of 2^b ones, 2^b zeros
+_LOW = [[((1 << (1 << n)) - 1) // ((1 << (1 << b)) + 1) for b in range(n)]
+        for n in range(_MAX_TABLE_SOURCES + 1)]
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,15 @@ def _one_below(tables, n: int):
     return below
 
 
+def _check_table_sources(n: int) -> None:
+    if not 1 <= n <= _MAX_TABLE_SOURCES:
+        raise ValueError(f"source count {n} outside 1..{_MAX_TABLE_SOURCES}")
+
+
 def _check_tables(tables, n: int) -> None:
     """The constructor's checks on one packed table (a Python int) or, at
     once, on a uint64 array of them; the messages are the constructor's."""
-    if not 1 <= n <= 10:
-        raise ValueError(f"source count {n} outside 1..10")
+    _check_table_sources(n)
     # an int's rules give bools, an array's give bool arrays; np.any would
     # take both, but its dispatch costs more than the rules on a few atoms
     fault = bool if isinstance(tables, int) else np.ndarray.any
@@ -175,8 +180,7 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
                     f"{mask_members(m1)} and {mask_members(m2)} are nested: "
                     "antichain members must be incomparable"
                 )
-    if not 1 <= n <= 10:  # the constructor's range, before any 2^n-bit table
-        raise ValueError(f"source count {n} outside 1..10")
+    _check_table_sources(n)  # the constructor's range, before any 2^n-bit table
     full = (1 << (1 << n)) - 1
     bits = 0
     for mask in masks:
@@ -227,8 +231,8 @@ def cmi_atom_set(
     return tuple(atoms[i] for i in rows.tolist())
 
 
-def _packed(atoms: Iterable[MonotoneBooleanFunction]) -> np.ndarray:
-    return np.array([f.bits for f in atoms], dtype=np.uint64)
+def _packed(atoms: Iterable[MonotoneBooleanFunction], n: int) -> np.ndarray:
+    return np.array([f.bits for f in atoms], dtype=np.uint64 if n <= 6 else object)
 
 
 def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> bool:
@@ -239,9 +243,9 @@ def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> boo
     sources.  Holds for every disjoint pair by order duality; this verifies
     it by direct enumeration, comparing packed truth tables.
     """
+    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b), n), n)  # checks n first
     complement = mask_members(((1 << n) - 1) ^ (subset_mask(a, n) | subset_mask(b, n)))
-    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b)), n)
-    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement))))
+    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement), n)))
 
 
 def _specific_information_bits(
@@ -282,7 +286,7 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
     minimal accessible sets; atom values then follow by subtracting, from
     each redundancy, the values of all strictly more accessible atoms.  By
     construction the atoms with f(a) = 1 add up to I(X^a ; Y) for every
-    source set a.  Values are in bits.
+    source set a.  Values are in bits, keyed in ``enumerate_atoms`` order.
     """
     m = dist.n - 1
     if not 1 <= m <= MAX_PID_SOURCES:
@@ -300,4 +304,4 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
         stacked = np.array([specific[member] for member in bf_to_antichain(f)])
         upper = sum(v for g, v in values.items() if atom_leq(f, g))
         values[f] = float((p_y * stacked.min(axis=0)).sum()) - upper
-    return values
+    return {f: values[f] for f in enumerate_atoms(m)}

@@ -47,6 +47,13 @@ RNG_NAME = "numpy-default-rng-pcg64"
 MAX_SPINS = 12  # exact enumeration of 2^n states
 
 
+def _check_spin_count(n: int) -> None:
+    if n < 2:
+        raise ValueError("need at least two spins")
+    if n > MAX_SPINS:
+        raise ValueError(f"at most {MAX_SPINS} spins (exact enumeration)")
+
+
 @dataclass(frozen=True)
 class SpinEnsembleConfig:
     """Parameters of one ensemble run.
@@ -67,10 +74,7 @@ class SpinEnsembleConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 object.__setattr__(self, name, _as_int(value, name))
-        if self.n < 2:
-            raise ValueError("need at least two spins")
-        if self.n > MAX_SPINS:
-            raise ValueError(f"at most {MAX_SPINS} spins (exact enumeration)")
+        _check_spin_count(self.n)
         if not all(math.isfinite(x) for x in (self.beta, self.mu, self.sigma2)):
             raise ValueError("beta, mu and sigma2 must be finite")
         if self.sigma2 < 0:
@@ -112,9 +116,10 @@ def sample_couplings(
     reproducible bit for bit.
     """
     mean = condition_mean(config, condition)
-    rng = np.random.default_rng(
-        [config.seed, CONDITIONS.index(condition), int(system_index)]
-    )
+    system_index = _as_int(system_index, "system index")
+    if system_index < 0:
+        raise ValueError(f"system index {system_index} is negative")
+    rng = np.random.default_rng([config.seed, CONDITIONS.index(condition), system_index])
     n = config.n
     draws = rng.normal(mean, math.sqrt(config.sigma2), size=n * (n - 1) // 2)
     J = np.zeros((n, n))
@@ -130,11 +135,10 @@ def boltzmann_distribution(J: np.ndarray, beta: float) -> JointDistribution:
     spin +1), computes their energies, and normalises by the partition sum.
     """
     J = np.asarray(J, dtype=float)
-    n = J.shape[0]
-    if J.shape != (n, n):
+    if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError("coupling matrix must be square")
-    if n > MAX_SPINS:
-        raise ValueError(f"at most {MAX_SPINS} spins (exact enumeration)")
+    n = J.shape[0]
+    _check_spin_count(n)
     states = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
     x = 2.0 * states - 1.0
     upper = np.triu(J, k=1)

@@ -189,6 +189,20 @@ def test_u_expression_accepts_numpy_integers():
     assert u_expression(np.int64(2), 4) == u_expression(2, 4)
 
 
+def test_expression_dunders_and_guards():
+    e = EntropyExpression(3, {0b100: 1, 0b011: Fraction(1, 2)})
+    assert repr(e) == "EntropyExpression(n=3, 1/2*H{1,2} + H{3})"
+    assert repr(EntropyExpression(2)) == "EntropyExpression(n=2, 0)"
+    assert hash(e) == hash(EntropyExpression(3, {0b011: Fraction(2, 4), 0b100: 1}))
+    assert e / 2 == EntropyExpression(3, {0b011: Fraction(1, 4), 0b100: Fraction(1, 2)})
+    assert bool(e) and not EntropyExpression(3) and not e - e
+    with pytest.raises(AttributeError, match="EntropyExpression is immutable"):
+        e.n = 4
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="an expression needs at least one variable"):
+            EntropyExpression(n)
+
+
 def test_expression_arithmetic_is_exact():
     a = entropy_term(2, [1])
     b = entropy_term(2, [2])
@@ -610,6 +624,8 @@ def test_json_round_trip_and_ordering():
 def test_json_rejects_bad_payloads():
     with pytest.raises(ValueError):
         expression_from_json({"terms": []})
+    with pytest.raises(ValueError, match='"terms" must be a list'):
+        expression_from_json({"n": 2, "terms": {"subset": [1], "coeff": "1"}})
     with pytest.raises(ValueError):
         expression_from_json({"n": 2, "terms": [{"subset": [1], "coeff": "x"}]})
     with pytest.raises(ValueError):

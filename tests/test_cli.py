@@ -271,6 +271,13 @@ def test_pid_verify_theorem1_sweep_checks_source_count_first(runner, n):
     _assert_input_error(result, f"source count {n} outside 1..5")
 
 
+@pytest.mark.parametrize("n", ["0", "6"])
+def test_pid_list_atoms_refuses_a_source_count_outside_the_range(runner, n):
+    result = invoke(runner, ["pid", "list-atoms", "--n", n])
+    _assert_input_error(result, f"source count {n} outside 1..5")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "6"])
 def test_pid_cmi_set_checks_source_count_first(runner, n):
     result = invoke(runner, ["pid", "cmi-set", "--n", n, "--a", "[1]"])
@@ -330,7 +337,7 @@ def test_decompose_prints_each_value_as_json_does(runner, tmp_path, monkeypatch,
     path = tmp_path / "copy.csv"
     path.write_text("x1,x2,x3,y,p\n0,0,0,0,0.5\n1,1,1,1,0.5\n")
     odd = [0.0, -0.0, 5e-324, 1e300, -0.375, math.nan, math.inf, 1 / 3]
-    atoms = enumerate_atoms(3)  # table order, as decompose sorts them
+    atoms = enumerate_atoms(3)  # table order, as reference_pid returns them
     values = {f: odd[i % len(odd)] for i, f in enumerate(atoms)}
     monkeypatch.setattr(cli, "reference_pid", lambda dist: values)
     monkeypatch.setattr(cli, "_DECOMPOSE_TOLERANCE", math.inf)  # these values fail the guard
@@ -570,6 +577,13 @@ def test_spinlab_rejects_non_finite_parameters(runner, tmp_path, option, value):
     result = invoke(runner, ["spinlab", option, value, "--out", str(out)])
     _assert_input_error(result, "must be finite")
     assert not out.exists()
+
+
+def test_spinlab_output_it_cannot_write_is_an_input_error(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    result = invoke(runner, ["spinlab", "--n", "3", "--count", "1", "--out", str(blocker / "run")])
+    _assert_input_error(result, "cannot write experiment outputs under")
 
 
 def test_spinlab_overflowing_weights_are_a_domain_error(runner, tmp_path):

@@ -95,6 +95,33 @@ def test_single_marginals_and_entropy_table_match_brute_force_oracle():
         assert [d.subset_entropy(m) for m in subsets] == pytest.approx(expected, abs=1e-12)
 
 
+def test_on_demand_marginals_equal_the_table_entries():
+    # the on-demand path sums one axis at a time in the table walk's order, so
+    # every value is the same float whether or not u_values built the table
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(3, 9))
+        arr = rng.random(tuple(rng.integers(2, 4, size=n).tolist()))
+        arr[arr < 0.2] = 0.0
+        d = JointDistribution(arr / arr.sum())
+        subsets = [mask_members(mask) for mask in range(1 << n)]
+        exprs = [metric_expression(name, n) for name in METRIC_NAMES]
+        exprs += [random_expression(rng, n) for _ in range(5)]
+        triples = [((1,), (n,), ()), ((1, 2), (3,), tuple(range(4, n + 1))), ((2,), (1,), (n,))]
+
+        def values():
+            return (
+                [d.subset_entropy(m) for m in subsets],
+                [d.evaluate(e) for e in exprs],
+                [d.conditional_mutual_information(*abc) for abc in triples],
+            )
+
+        before = values()
+        d.u_values()
+        assert before[0] == d._entropy_table().tolist()
+        assert values() == before
+
+
 # ---------------------------------------------------------------------------
 # u profiles
 # ---------------------------------------------------------------------------
@@ -291,6 +318,20 @@ def test_pmf_is_read_only():
         d.pmf[0, 0] = 0.9
 
 
+def test_distribution_is_immutable_and_reprs_its_shape():
+    d = JointDistribution(np.full((2, 3), 1 / 6))
+    assert repr(d) == "JointDistribution(2 variables, alphabet 2x3)"
+    with pytest.raises(AttributeError, match="JointDistribution is immutable"):
+        d._pmf = np.full((2, 3), 1 / 6)
+
+
+def test_constructors_refuse_no_states():
+    with pytest.raises(DistributionFormatError, match="empty distribution"):
+        JointDistribution.from_pmf({})
+    with pytest.raises(DistributionFormatError, match="no samples"):
+        JointDistribution.from_samples([])
+
+
 def test_from_samples_counts_frequencies():
     d = JointDistribution.from_samples([(0, 0), (1, 1), (0, 0), (1, 1)])
     assert np.allclose(d.pmf, copy_pair().pmf)
@@ -409,6 +450,23 @@ def test_load_csv_sum_error():
 def test_load_csv_empty_file():
     with pytest.raises(DistributionFormatError, match="line 1"):
         _load("")
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("\n0,1\n", "line 1: empty header"),
+    ("p\n0.5\n", "line 1: no variable columns"),
+    (" P \n1\n", "line 1: no variable columns"),
+])
+def test_load_csv_refuses_a_header_without_variables(text, refusal):
+    with pytest.raises(DistributionFormatError, match=refusal):
+        _load(text)
+
+
+def test_load_csv_opens_a_path_given_as_str_or_path(tmp_path):
+    path = tmp_path / "copy.csv"
+    path.write_text("x1,x2,p\n0,0,0.5\n1,1,0.5\n", encoding="utf-8")
+    for source in (str(path), path):
+        assert load_csv(source).pmf.tobytes() == copy_pair().pmf.tobytes()
 
 
 def test_load_csv_relabels_samples_past_int64():

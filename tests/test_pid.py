@@ -1,6 +1,7 @@
 """Tests for the decomposition-atom lattice and its duality."""
 
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 from itertools import combinations
 
@@ -180,6 +181,22 @@ def test_atoms_take_numpy_integers_as_int():
     assert all(type(f.n) is int for f in atoms)
 
 
+def test_atom_order_refuses_different_source_counts():
+    with pytest.raises(ValueError, match="atoms live over different source counts"):
+        atom_leq(enumerate_atoms(1)[0], enumerate_atoms(2)[-1])
+
+
+def test_theorem1_check_refuses_a_bad_source_count_before_using_it():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="source count 1000000 outside 1..5"):
+        verify_theorem1_sets(10**6, [1])
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="source count 2.0 is not an integer"):
+        verify_theorem1_sets(2.0, [1])
+    with pytest.raises(ValueError, match="source count -1 outside 1..5"):
+        verify_theorem1_sets(-1, [1])
+
+
 def test_enumeration_range_check():
     with pytest.raises(ValueError):
         enumerate_atoms(0)
@@ -353,6 +370,7 @@ def test_cumulative_sums_rebuild_every_mi():
         nsources = int(rng.integers(2, 4))
         d = random_distribution(rng, rng.integers(2, 3, size=nsources + 1))
         values = reference_pid(d)
+        assert tuple(values) == enumerate_atoms(nsources)  # the order decompose prints
         for mask in range(1, 1 << nsources):
             members = [i + 1 for i in range(nsources) if (mask >> i) & 1]
             total = sum(v for f, v in values.items() if f.value(mask))

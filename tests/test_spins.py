@@ -68,6 +68,17 @@ def test_unknown_condition_rejected():
         sample_couplings(SMALL, "tepid", 0)
 
 
+@pytest.mark.parametrize("index, message", [
+    (1.5, "system index 1.5 is not an integer"),
+    (True, "system index True is not an integer"),
+    ("1", "system index '1' is not an integer"),
+    (-1, "system index -1 is negative"),
+])
+def test_couplings_refuse_a_system_index_that_is_not_a_nonnegative_integer(index, message):
+    with pytest.raises(ValueError, match=message):
+        sample_couplings(SMALL, "weak", index)
+
+
 # ---------------------------------------------------------------------------
 # Boltzmann distributions
 # ---------------------------------------------------------------------------
@@ -82,6 +93,24 @@ def test_zero_temperature_weight_gives_uniform():
     J = sample_couplings(SMALL, "ferromagnetic", 0)
     d = boltzmann_distribution(J, beta=0.0)
     assert np.allclose(d.pmf, 1 / 16)
+
+
+@pytest.mark.parametrize("J", [np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros(3), 1.0])
+def test_boltzmann_refuses_a_coupling_matrix_that_is_not_square(J):
+    with pytest.raises(ValueError, match="coupling matrix must be square"):
+        boltzmann_distribution(J, beta=1.0)
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "need at least two spins"),
+    (1, "need at least two spins"),
+    (13, "at most 12 spins"),
+])
+def test_boltzmann_takes_the_config_spin_range(n, message):
+    with pytest.raises(ValueError, match=message):
+        boltzmann_distribution(np.zeros((n, n)), beta=1.0)
+    with pytest.raises(ValueError, match=message):
+        SpinEnsembleConfig(n=n)
 
 
 def test_two_spin_alignment_ratio():
