@@ -20,6 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .algebra import (
     classify as classify_vector,
     conjugate as conjugate_expression,
@@ -34,6 +35,7 @@ from .pid import (
     _minimal_sets,
     _packed,
     antichain_to_bf,
+    bf_to_antichain,
     cmi_atom_set,
     dual,
     enumerate_atoms,
@@ -97,21 +99,20 @@ def _bit_bytes(packed: np.ndarray, positions, zero: int = 0) -> bytes:
     return bits.astype(np.uint8).tobytes()
 
 
-def _atoms_text(n: int, atoms, values=None, depth: int = 1) -> str:
-    """Atoms as ``json.dumps(obj, indent=2)`` prints them ``depth`` levels deep.
+def _echo_atoms(n: int, atoms, values=None) -> None:
+    """Print a nonempty list of atoms exactly as ``_echo_json`` would, faster.
 
-    Each ``obj`` is {"antichain": bf_to_antichain(f), "table": f.table()},
-    plus "value" from ``values`` when given; the texts are joined by ",\n".
+    Each atom is {"antichain": bf_to_antichain(f), "table": f.table()},
+    plus "value" from ``values`` when given.
     """
-    pad = "  " * depth
     # every nonempty source set's member list, rendered once, in the order
     # bf_to_antichain sorts them
     order = sorted(range(1, 1 << n), key=mask_members)
     lists = []
     for mask in order:
-        members = ",\n".join(f"{pad}      {i}" for i in mask_members(mask))
-        lists.append(f"{pad}    [\n{members}\n{pad}    ]")
-    tables = _packed(atoms, n)
+        members = ",\n".join(f"        {i}" for i in mask_members(mask))
+        lists.append(f"      [\n{members}\n      ]")
+    tables = _packed(atoms)
     picks = _bit_bytes(_minimal_sets(tables, n), order)
     # table() puts the bit of position m at index m
     width = 1 << n
@@ -119,17 +120,12 @@ def _atoms_text(n: int, atoms, values=None, depth: int = 1) -> str:
     texts = []
     for k in range(len(tables)):
         antichain = ",\n".join(compress(lists, picks[k * len(lists):(k + 1) * len(lists)]))
-        value = "" if values is None else f',\n{pad}  "value": {json.dumps(values[k])}'
+        value = "" if values is None else f',\n    "value": {json.dumps(values[k])}'
         texts.append(
-            f'{pad}{{\n{pad}  "antichain": [\n{antichain}\n{pad}  ],\n'
-            f'{pad}  "table": "{table_text[k * width:(k + 1) * width]}"{value}\n{pad}}}'
+            f'  {{\n    "antichain": [\n{antichain}\n    ],\n'
+            f'    "table": "{table_text[k * width:(k + 1) * width]}"{value}\n  }}'
         )
-    return ",\n".join(texts)
-
-
-def _echo_atoms(n: int, atoms, values=None) -> None:
-    """Print a nonempty list of atoms exactly as ``_echo_json`` would, faster."""
-    click.echo(f"[\n{_atoms_text(n, atoms, values)}\n]", file=sys.stdout)
+    click.echo("[\n" + ",\n".join(texts) + "\n]", file=sys.stdout)
 
 
 @click.group()
@@ -140,7 +136,7 @@ def _echo_atoms(n: int, atoms, values=None) -> None:
     show_default=True,
     help="Logarithm base for numeric outputs (bits or nats).",
 )
-@click.version_option()
+@click.version_option(__version__)
 @click.pass_context
 def main(ctx, log_base):
     """High-order interdependence toolkit."""
@@ -237,7 +233,8 @@ def pid_dual(n, antichain_text):
         atom = antichain_to_bf(sets, n)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         _fail(EXIT_INPUT_ERROR, f"bad antichain: {exc}")
-    click.echo(_atoms_text(n, [dual(atom)], depth=0), file=sys.stdout)
+    f = dual(atom)
+    _echo_json({"antichain": bf_to_antichain(f), "table": f.table()})
 
 
 @pid.command("cmi-set")

@@ -231,8 +231,9 @@ def cmi_atom_set(
     return tuple(atoms[i] for i in rows.tolist())
 
 
-def _packed(atoms: Iterable[MonotoneBooleanFunction], n: int) -> np.ndarray:
-    return np.array([f.bits for f in atoms], dtype=np.uint64 if n <= 6 else object)
+def _packed(atoms: Iterable[MonotoneBooleanFunction]) -> np.ndarray:
+    """Packed tables as a uint64 array: OverflowError past 6 sources."""
+    return np.array([f.bits for f in atoms], dtype=np.uint64)
 
 
 def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> bool:
@@ -243,9 +244,10 @@ def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> boo
     sources.  Holds for every disjoint pair by order duality; this verifies
     it by direct enumeration, comparing packed truth tables.
     """
-    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b), n), n)  # checks n first
+    a, b = tuple(a), tuple(b)  # each set is read twice below; an iterator lasts one read
+    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b)), n)  # checks n first
     complement = mask_members(((1 << n) - 1) ^ (subset_mask(a, n) | subset_mask(b, n)))
-    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement), n)))
+    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement))))
 
 
 def _specific_information_bits(

@@ -425,6 +425,14 @@ def oracle_antichain_table(n: int, antichain) -> int:
     return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
 
 
+def random_antichain(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], ...]:
+    """A random antichain over n sources: the minimal members of a few random
+    nonempty source sets, as sorted 1-based index tuples."""
+    masks = {int(m) for m in rng.integers(1, 1 << n, size=int(rng.integers(1, 2 * n + 1)))}
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    return tuple(sorted(tuple(i + 1 for i in range(n) if (m >> i) & 1) for m in minimal))
+
+
 def atom_json(f, value: float | None = None) -> dict:
     """One atom as the pid commands print it, built from the oracles above.
 

@@ -31,7 +31,7 @@ from entroconj import (
 from entroconj import cli
 from entroconj.cli import main
 
-from helpers import atom_json, csv_texts, oracle_antichain
+from helpers import atom_json, csv_texts, oracle_antichain, random_antichain
 
 XOR_CSV = "x1,x2,x3,p\n0,0,0,0.25\n0,1,1,0.25\n1,0,1,0.25\n1,1,0,0.25\n"
 
@@ -323,9 +323,11 @@ def test_cmi_set_prints_the_indented_json_of_its_atoms(runner):
 
 def test_dual_prints_the_indented_json_of_the_dual_atom(runner):
     atoms = [f for n in (1, 2, 3) for f in enumerate_atoms(n)]
-    # past 6 sources the tables no longer fit a uint64
-    wide = [(6, [[1], [2, 3, 4, 5, 6]]), (7, [[1, 2], [3, 4, 5], [6, 7]]), (10, [[1, 2], [3, 4, 5], [8], [9, 10]])]
-    atoms += [antichain_to_bf(antichain, n) for n, antichain in wide]
+    # past 6 sources a table is wider than a uint64
+    inputs = [(6, [[1], [2, 3, 4, 5, 6]]), (7, [[1, 2], [3, 4, 5], [6, 7]]), (10, [[1, 2], [3, 4, 5], [8], [9, 10]])]
+    rng = np.random.default_rng(16)
+    inputs += [(n, random_antichain(rng, n)) for n in range(1, 11) for _ in range(10)]
+    atoms += [antichain_to_bf(antichain, n) for n, antichain in inputs]
     for f in atoms:
         antichain = json.dumps(oracle_antichain(f.n, f.bits))
         result = invoke(runner, ["pid", "dual", "--n", str(f.n), "--antichain", antichain])
@@ -472,6 +474,18 @@ def test_expression_json_accepts_the_longest_printable_coefficients(runner, tmp_
         {"subset": [2], "coeff": printed},
         {"subset": [1, 2], "coeff": "-" + printed},
     ]
+
+
+def test_version_runs_from_the_source_tree(tmp_path):
+    # click's default reads the version from the installed package's metadata
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroconj.cli", "--version"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].endswith("version 0.1.0")
 
 
 def test_expression_json_refuses_a_huge_exponent_at_once(tmp_path):

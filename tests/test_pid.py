@@ -16,6 +16,7 @@ from entroconj import (
     cmi_atom_set,
     dual,
     enumerate_atoms,
+    mask_members,
     reference_pid,
     verify_theorem1_sets,
 )
@@ -195,6 +196,22 @@ def test_theorem1_check_refuses_a_bad_source_count_before_using_it():
         verify_theorem1_sets(2.0, [1])
     with pytest.raises(ValueError, match="source count -1 outside 1..5"):
         verify_theorem1_sets(-1, [1])
+
+
+def test_theorem1_check_takes_iterators_as_it_takes_lists():
+    for n in (3, 4):
+        for ma in range(1, 1 << n):
+            for mb in range(1 << n):
+                if ma & mb:
+                    continue
+                a, b = mask_members(ma), mask_members(mb)
+                assert verify_theorem1_sets(n, iter(a), iter(b)) is verify_theorem1_sets(n, list(a), list(b)), (n, a, b)
+
+
+def test_packed_tables_refuse_a_table_wider_than_64_bits():
+    assert pid._packed([antichain_to_bf([[6]], 6)]).tolist() == [antichain_to_bf([[6]], 6).bits]
+    with pytest.raises(OverflowError):
+        pid._packed([antichain_to_bf([[7]], 7)])
 
 
 def test_enumeration_range_check():
