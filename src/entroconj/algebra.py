@@ -163,9 +163,23 @@ class EntropyExpression:
         if other.n != self.n:
             raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
         merged = dict(self._terms)
+        # each distinct pair of coefficient objects is added once; their ids
+        # stay valid because both maps hold the objects for the whole call
+        sums: dict[tuple[int, int], Fraction] = {}
         for mask, c in other._terms.items():
-            merged[mask] = merged.get(mask, Fraction(0)) + c
-        return EntropyExpression(self.n, merged)
+            a = merged.get(mask)
+            if a is None:
+                merged[mask] = c
+                continue
+            key = (id(a), id(c))
+            total = sums.get(key)
+            if total is None:
+                total = sums[key] = a + c
+            if total:
+                merged[mask] = total
+            else:
+                del merged[mask]
+        return _expression(self.n, merged)
 
     def __sub__(self, other: "EntropyExpression") -> "EntropyExpression":
         return self + (-other)
@@ -175,9 +189,17 @@ class EntropyExpression:
 
     def __mul__(self, scalar: Rational) -> "EntropyExpression":
         s = Fraction(scalar)
-        return EntropyExpression(
-            self.n, {mask: c * s for mask, c in self._terms.items()}
-        )
+        if not s:
+            return _expression(self.n, {})
+        # each distinct coefficient object is scaled once
+        products: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
+        for mask, c in self._terms.items():
+            p = products.get(id(c))
+            if p is None:
+                p = products[id(c)] = c * s
+            terms[mask] = p
+        return _expression(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -194,6 +216,15 @@ class EntropyExpression:
         return f"EntropyExpression(n={self.n}, " + " + ".join(parts) + ")"
 
 
+def _expression(n: int, terms: dict[int, Fraction]) -> EntropyExpression:
+    """An expression over ``terms`` taken as they are: the caller guarantees
+    masks in 1..2^n - 1 and nonzero ``Fraction`` coefficients."""
+    e = object.__new__(EntropyExpression)
+    object.__setattr__(e, "n", n)
+    object.__setattr__(e, "_terms", terms)
+    return e
+
+
 def entropy_term(n: int, members: Iterable[int]) -> EntropyExpression:
     """The single entropy H(X^a) as an expression."""
     return EntropyExpression(n, {subset_mask(members, n): Fraction(1)})
@@ -204,11 +235,14 @@ def conjugate(e: EntropyExpression) -> EntropyExpression:
     full = (1 << e.n) - 1
     # full ^ mask == full only for the empty mask, which is never stored
     out = {full ^ mask: c for mask, c in e._terms.items()}
+    out.pop(0, None)  # the full set's image: H() = 0
     # minus the sum of every coefficient, as one integer sum over a common
     # denominator instead of a gcd per Fraction addition
     den = lcm(*(c.denominator for c in e._terms.values()))
-    out[full] = Fraction(-sum(c.numerator * (den // c.denominator) for c in e._terms.values()), den)
-    return EntropyExpression(e.n, out)
+    total = -sum(c.numerator * (den // c.denominator) for c in e._terms.values())
+    if total:
+        out[full] = Fraction(total, den)
+    return _expression(e.n, out)
 
 
 def mutual_information_expr(
@@ -267,7 +301,7 @@ def u_expression(k: int, n: int) -> EntropyExpression:
         if size:
             w = Fraction(weight, comb(n, size))
             terms.update(dict.fromkeys(_masks_of_size(n, size), w))
-    return EntropyExpression(n, terms)
+    return _expression(n, terms)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -277,8 +311,8 @@ def r_expression(k: int, n: int) -> EntropyExpression:
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     if k == 0:
-        return EntropyExpression(n)
-    return EntropyExpression(n, dict.fromkeys(_masks_of_size(n, k), Fraction(1, comb(n, k))))
+        return _expression(n, {})
+    return _expression(n, dict.fromkeys(_masks_of_size(n, k), Fraction(1, comb(n, k))))
 
 
 def _r_weights(e: EntropyExpression) -> list[Fraction] | None:
@@ -295,7 +329,7 @@ def _r_weights(e: EntropyExpression) -> list[Fraction] | None:
         s = mask.bit_count()
         if first[s] is None:
             first[s] = c
-        elif c != first[s]:
+        elif c is not first[s] and c != first[s]:
             return None
         count[s] += 1
     if any(k != comb(n, s) for s, k in enumerate(count) if k):
@@ -361,7 +395,7 @@ def from_u_basis(c: "UBasisVector") -> EntropyExpression:
     for s in range(1, n + 1):
         if weight[s]:
             terms.update(dict.fromkeys(_masks_of_size(n, s), weight[s]))
-    return EntropyExpression(n, terms)
+    return _expression(n, terms)
 
 
 @dataclass(frozen=True)
@@ -479,14 +513,21 @@ def expression_from_json(obj: dict) -> EntropyExpression:
     if not isinstance(raw_terms, list):
         raise ValueError('"terms" must be a list')
     terms: dict[int, Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct coefficient text is parsed once
     for idx, entry in enumerate(raw_terms):
         try:
             members = entry["subset"]
-            coeff = _parse_coefficient(str(entry["coeff"]))
+            text = str(entry["coeff"])
+            coeff = parsed.get(text)
+            if coeff is None:
+                coeff = parsed[text] = _parse_coefficient(text)
             mask = subset_mask(members, n)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed term {idx}: {exc}") from exc
         if mask in terms:
             raise ValueError(f"duplicate subset {sorted(members)}")
         terms[mask] = coeff
-    return EntropyExpression(n, terms)
+    if n < 1 or 0 in terms or not all(parsed.values()):
+        # the public constructor refuses n < 1 and drops H() and zero coefficients
+        return EntropyExpression(n, terms)
+    return _expression(n, terms)

@@ -157,6 +157,31 @@ def oracle_is_label_symmetric(e: EntropyExpression) -> bool:
     return True
 
 
+def oracle_sum(e1: EntropyExpression, e2: EntropyExpression) -> EntropyExpression:
+    """e1 + e2 added term by term through the public constructor, which drops
+    zero sums; kept apart from the library's shared-coefficient addition."""
+    terms: dict[int, Fraction] = defaultdict(Fraction, e1.terms)
+    for mask, c in e2.terms.items():
+        terms[mask] += c
+    return EntropyExpression(e1.n, terms)
+
+
+def oracle_scale(e: EntropyExpression, scalar) -> EntropyExpression:
+    """scalar * e, one product per term, through the public constructor."""
+    return EntropyExpression(e.n, {mask: c * Fraction(scalar) for mask, c in e.terms.items()})
+
+
+def oracle_conjugate(e: EntropyExpression) -> EntropyExpression:
+    """H(X^a) -> H(X^{-a}) - H(X) applied term by term; the public constructor
+    drops the H() term that the full set maps to."""
+    full = (1 << e.n) - 1
+    terms: dict[int, Fraction] = defaultdict(Fraction)
+    for mask, c in e.terms.items():
+        terms[full ^ mask] += c
+        terms[full] -= c
+    return EntropyExpression(e.n, terms)
+
+
 def distinct_term_count(e: EntropyExpression) -> int:
     """Number of distinct entropy terms with nonzero coefficient."""
     return len(e)

@@ -41,7 +41,10 @@ from helpers import (
     definitional_metric_expression,
     definitional_u_expression,
     distinct_term_count,
+    oracle_conjugate,
     oracle_is_label_symmetric,
+    oracle_scale,
+    oracle_sum,
     rational_rank,
     u_inner_product,
 )
@@ -80,6 +83,22 @@ def expression_pairs(draw):
         return EntropyExpression(n, terms)
 
     return one(), one(), draw(small_fractions), draw(small_fractions)
+
+
+@st.composite
+def shared_coefficient_pairs(draw):
+    """Two expressions whose coefficients come from one small pool of objects,
+    with their negations and equal but distinct copies, so that terms share
+    objects and some sums cancel."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(small_fractions, min_size=1, max_size=3))
+    pool += [-c for c in pool] + [Fraction(c.numerator, c.denominator) for c in pool]
+    masks = st.integers(1, (1 << n) - 1)
+
+    def one():
+        return EntropyExpression(n, draw(st.dictionaries(masks, st.sampled_from(pool), max_size=12)))
+
+    return one(), one(), draw(small_fractions)
 
 
 @st.composite
@@ -203,6 +222,24 @@ def test_expression_dunders_and_guards():
             EntropyExpression(n)
 
 
+def test_shared_coefficient_edge_cases():
+    e = metric_expression("ii", 5) + entropy_term(5, [1])
+    assert e + (-e) == EntropyExpression(5)
+    assert dict((e + e).terms) == {mask: 2 * c for mask, c in e.terms.items()}
+    assert e * 0 == EntropyExpression(5)
+
+
+@given(shared_coefficient_pairs())
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_and_conjugation_match_the_term_by_term_oracle(args):
+    e1, e2, alpha = args
+    assert e1 + e2 == oracle_sum(e1, e2)
+    assert e1 + e1 == oracle_sum(e1, e1)
+    assert e1 - e2 == oracle_sum(e1, oracle_scale(e2, -1))
+    assert e1 * alpha == oracle_scale(e1, alpha)
+    assert conjugate(e1) == oracle_conjugate(e1)
+
+
 def test_expression_arithmetic_is_exact():
     a = entropy_term(2, [1])
     b = entropy_term(2, [2])
@@ -227,6 +264,7 @@ def test_conjugate_single_entropy():
 def test_conjugate_full_set_negates():
     e = entropy_term(3, [1, 2, 3])
     assert conjugate(e) == -e
+    assert 0 not in conjugate(e).terms
 
 
 def _full_set_coefficient_by_fraction_sums(e: EntropyExpression) -> Fraction:
@@ -271,13 +309,7 @@ def test_conjugate_mi_moves_conditioning_to_complement():
 def test_conjugate_conditional_mi_n4():
     # oracle: apply the definition H(a) -> H(-a) - H(full) term by term,
     # starting from I(X1;X2|X3) = H{13} + H{23} - H{123} - H{3} at n=4
-    start = {0b0101: 1, 0b0110: 1, 0b0111: -1, 0b0100: -1}
-    full = 0b1111
-    expected = {}
-    for mask, c in start.items():
-        expected[full ^ mask] = expected.get(full ^ mask, 0) + c
-        expected[full] = expected.get(full, 0) - c
-    manual = EntropyExpression(4, expected)
+    manual = oracle_conjugate(EntropyExpression(4, {0b0101: 1, 0b0110: 1, 0b0111: -1, 0b0100: -1}))
     assert conjugate(mutual_information_expr(4, [1], [2], [3])) == manual
     assert manual == mutual_information_expr(4, [1], [2], [4])
 
@@ -383,6 +415,19 @@ def test_is_label_symmetric_examples():
     assert not is_label_symmetric(entropy_term(2, [1]))
     assert is_label_symmetric(entropy_term(2, [1]) + entropy_term(2, [2]))
     assert is_label_symmetric(EntropyExpression(3))  # zero expression
+
+
+def test_equal_but_distinct_coefficients_are_label_symmetric():
+    # tc / 2 at n = 3, its singleton coefficients three distinct objects
+    texts = {(1,): "1/2", (2,): "2/4", (3,): "0.5", (1, 2, 3): "-1/2"}
+    half_tc = EntropyExpression(3, {subset_mask(a, 3): t for a, t in texts.items()})
+    read = expression_from_json(
+        {"n": 3, "terms": [{"subset": list(a), "coeff": t} for a, t in texts.items()]}
+    )
+    for e in (half_tc, read):
+        assert len({id(c) for c in e.terms.values()}) == 4
+        assert is_label_symmetric(e)
+        assert to_u_basis(e) == UBasisVector(3, (1, Fraction(1, 2)))
 
 
 def test_is_label_symmetric_rejects_unequal_coefficients():
@@ -619,6 +664,14 @@ def test_json_round_trip_and_ordering():
         assert t["subset"] == sorted(t["subset"])
         Fraction(t["coeff"])  # exact strings parse back
     assert expression_from_json(obj) == e
+
+
+def test_json_reader_drops_zero_coefficients_and_the_empty_set():
+    coeffs = {(1,): "0", (): "5", (2,): "1/2", (1, 2): "0/3", (3,): "0", (1, 3): "1/2"}
+    e = expression_from_json(
+        {"n": 3, "terms": [{"subset": list(a), "coeff": t} for a, t in coeffs.items()]}
+    )
+    assert dict(e.terms) == {0b010: Fraction(1, 2), 0b101: Fraction(1, 2)}
 
 
 def test_json_rejects_bad_payloads():

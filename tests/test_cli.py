@@ -476,6 +476,30 @@ def test_expression_json_accepts_the_longest_printable_coefficients(runner, tmp_
     ]
 
 
+def _terms(*pairs):
+    return [{"subset": subset, "coeff": coeff} for subset, coeff in pairs]
+
+
+@pytest.mark.parametrize("obj, message", [
+    # a bad text carried by several terms is reported at its first
+    ({"n": 3, "terms": _terms(([1], "1"), ([2], "x"), ([3], "1"), ([1, 2], "x"))},
+     "malformed term 1: Invalid literal for Fraction: 'x'"),
+    # the coefficient is read before the subset
+    ({"n": 3, "terms": _terms(([9], "1/0"), ([1], "1/0"))}, "malformed term 0: Fraction(1, 0)"),
+    ({"n": 3, "terms": _terms(([1], "1"), ([9], "1"))}, "malformed term 1: variable index 9 outside 1..3"),
+    # a zero coefficient still claims its subset
+    ({"n": 3, "terms": _terms(([1], "0"), ([1], "1"))}, "duplicate subset [1]"),
+    ({"n": 0, "terms": []}, "an expression needs at least one variable"),
+    ({"n": 0, "terms": _terms(([], "1"))}, "an expression needs at least one variable"),
+])
+def test_expression_json_errors_are_worded_exactly(runner, obj, message):
+    for command in SYMBOLIC_COMMANDS:
+        result = runner.invoke(main, [command, "-"], input=json.dumps(obj), catch_exceptions=False)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: bad expression JSON: {message}\n"
+        assert result.stdout == ""
+
+
 def test_version_runs_from_the_source_tree(tmp_path):
     # click's default reads the version from the installed package's metadata
     src = str(Path(cli.__file__).resolve().parents[1])
