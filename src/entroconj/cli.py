@@ -290,6 +290,7 @@ def pid_decompose(ctx, dist_file):
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     nsources = dist.n - 1
+    dist.u_values()  # fills the entropy table: the guard reads every source set
     # consistency guard: cumulative sums must rebuild every I(X^a ; Y)
     for mask in range(1, 1 << nsources):
         members = list(mask_members(mask))

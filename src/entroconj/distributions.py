@@ -3,11 +3,14 @@
 A :class:`JointDistribution` stores the full probability mass function over
 a finite product alphabet as a dense array, one axis per variable.  Marginal
 entropies are computed by the plug-in estimator with the base-2 logarithm
-(bits).  The whole u_k profile fills a table of all 2^n marginal entropies in
-one depth-first walk of the subset lattice, each marginal one axis-sum of a
-parent with one more variable; a single marginal is summed from the pmf along
-the same path, so no value depends on whether the table was built.  Every
-value is in bits; ``entroconj --log-base e`` converts CLI output to nats.
+(bits).  The whole u_k profile fills a table of all 2^n marginal entropies by
+a depth-first walk of the subset lattice that hands each subtree of bounded
+size to one block: one extra slot per droppable axis holds that axis's
+sum, ``p log2 p`` is taken once over the block, and the remaining sums give
+every entropy of the subtree.  A single marginal is summed from the pmf in
+the walk's order and is a block of one entry, so no value depends on
+whether the table was built.  Every value is in bits; ``entroconj
+--log-base e`` converts CLI output to nats.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -40,18 +43,66 @@ PROB_ZERO = 1e-15  # probabilities at or below this count as zero in logs
 SUM_TOLERANCE = 1e-9
 MAX_VARIABLES = 20
 MAX_DENSE_CELLS = 1 << 24  # largest pmf array built from states (128 MiB of floats)
+# largest lattice block whose entropies are summed in one piece; 1 << 20 was
+# faster at n = 12 but held a 4 MiB block and its temporaries at once
+_BLOCK_CELLS = 1 << 18
 
 
 class DistributionFormatError(ValueError):
     """Malformed distribution input (CSV rows, pmf tables, sample lists)."""
 
 
-def _plugin_entropy_bits(marginal: np.ndarray) -> float:
-    """Plug-in entropy in bits of a marginal pmf array."""
-    p = marginal.ravel()
-    p = p[p > PROB_ZERO]
-    h = -float(np.dot(p, np.log2(p)))
-    return h if h > 0.0 else 0.0  # tiny negative round-off on point masses
+def _sum_axis(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``a`` summed along ``axis`` by adding its slices left to right.
+
+    ``a.sum`` adds pairwise along a contiguous axis of 8 or more cells and in
+    order elsewhere, so its rounding would depend on the memory layout.
+    """
+    lead = (slice(None),) * axis
+    if a.shape[axis] == 1:  # the one slice, copied
+        return np.positive(a[lead + (0, ...)], out=out)
+    total = np.add(a[lead + (0, ...)], a[lead + (1, ...)], out=out)
+    for i in range(2, a.shape[axis]):
+        total += a[lead + (i, ...)]
+    return total
+
+
+def _block_entropies(marginal: np.ndarray, low: int) -> np.ndarray:
+    """Plug-in entropies in bits of the 2^low marginals of ``marginal`` that
+    drop any of its axes 0..low-1, in mask order (bit j set: axis j kept).
+
+    Each axis j < low gets one more slot holding its sum, highest axis first,
+    so a cell summed over several axes sums the highest first.  ``p log2 p``
+    is taken once over the whole block (0 for p <= ``PROB_ZERO``).  Then,
+    lowest axis first, each axis j < low becomes a [dropped, kept] pair of
+    slots and each other axis is summed away.  Every sum is a
+    :func:`_sum_axis`, so each marginal's entropy is the same float in any
+    block, the one-entry block (``low = 0``) included.
+    """
+    shape = marginal.shape
+    block = np.empty(tuple(k + 1 for k in shape[:low]) + shape[low:])
+    block[tuple(map(slice, shape[:low]))] = marginal
+    for j in reversed(range(low)):
+        real = tuple(map(slice, shape[:j]))  # the axes below j are not extended yet
+        _sum_axis(block[real + (slice(shape[j]),)], j, out=block[real + (shape[j], ...)])
+    # p log2 p in place, a quarter budget at a time to bound the temporary
+    flat = block.reshape(-1)
+    step = _BLOCK_CELLS // 4
+    for start in range(0, flat.size, step):
+        part = flat[start : start + step]
+        logs = np.where(part > PROB_ZERO, part, 1.0)
+        part *= np.log2(logs, out=logs)
+        del logs  # before the next part's
+    # lowest axis first: in C order each sum adds long contiguous runs
+    for j in range(low):
+        lead = (slice(None),) * j
+        kept = shape[j]
+        _sum_axis(block[lead + (slice(kept),)], j, out=block[lead + (0, ...)])
+        block = block[lead + (slice(kept, None, -kept),)]  # slots [sum, 0]: [dropped, kept]
+    for _ in range(low, len(shape)):
+        block = _sum_axis(block, low)
+    sums = block.ravel(order="F")
+    return np.where(sums < 0.0, -sums, 0.0)  # 0.0, not -0.0, for a point mass; no round-off below 0
 
 
 def _symbol_array(states, empty: str) -> np.ndarray:
@@ -201,10 +252,14 @@ class JointDistribution:
         Built on first use by a depth-first walk of the subset lattice: a
         node drops only variables below the lowest one its ancestors
         dropped, so every subset is reached once and its marginal is one
-        axis-sum of its parent's.  That costs O(3^n) for binary variables
-        against O(4^n) for summing each marginal from the pmf, and keeps at
-        most n + 1 marginals alive.  The table is published whole in one
-        assignment, so concurrent callers see either no table or all of it.
+        axis-sum of its parent's.  A node whose subtree fits in
+        ``_BLOCK_CELLS`` cells is not walked further: :func:`_block_entropies`
+        returns its whole subtree, the contiguous masks ending at its own,
+        in a few numpy calls.  That costs O(3^n) for binary variables
+        against O(4^n) for summing each marginal from the pmf, and bounds
+        memory by the block budget and the n + 1 marginals of one path.  The
+        table is published whole in one assignment, so concurrent callers
+        see either no table or all of it.
         """
         table = self._entropies
         if table is not None:
@@ -212,10 +267,14 @@ class JointDistribution:
         table = np.empty(1 << self.n)
 
         def visit(marginal: np.ndarray, mask: int, low: int) -> None:
-            table[mask] = _plugin_entropy_bits(marginal)
             # variables 0..low-1 are all kept, so variable j is axis j
+            shape = marginal.shape
+            if prod(k + 1 for k in shape[:low]) * prod(shape[low:]) <= _BLOCK_CELLS:
+                table[mask + 1 - (1 << low) : mask + 1] = _block_entropies(marginal, low)
+                return
+            table[mask] = _block_entropies(marginal, 0)[0]
             for j in range(low):
-                visit(marginal.sum(axis=j), mask ^ (1 << j), j)
+                visit(_sum_axis(marginal, j), mask ^ (1 << j), j)
 
         visit(self._pmf, (1 << self.n) - 1, self.n)
         table[0] = 0.0
@@ -227,8 +286,10 @@ class JointDistribution:
         """Shannon entropy in bits of the marginal selected by ``mask``.
 
         Reads the entropy table once it exists; until then sums only this
-        marginal, so sparse expressions touch only the subsets they name,
-        one axis at a time and highest variable first, as the walk does.
+        marginal, so sparse expressions touch only the subsets they name.
+        It drops one axis at a time, highest variable first, as the walk
+        does, and takes the entropy as a one-entry block, so the value is
+        the table entry to the last bit.
         """
         table = self._entropies
         if table is not None:
@@ -238,8 +299,8 @@ class JointDistribution:
         marginal = self._pmf
         for j in reversed(range(self.n)):
             if not (mask >> j) & 1:
-                marginal = marginal.sum(axis=j)
-        return _plugin_entropy_bits(marginal)
+                marginal = _sum_axis(marginal, j)
+        return float(_block_entropies(marginal, 0)[0])
 
     def subset_entropy(self, members: Iterable[int]) -> float:
         """Plug-in entropy in bits of the marginal on 1-based variable indices."""
@@ -255,7 +316,16 @@ class JointDistribution:
             raise ValueError(
                 f"expression has {expr.n} variables, distribution has {self.n}"
             )
-        return math.fsum(float(c) * self._entropy_bits(mask) for mask, c in expr.terms.items())
+        terms = expr.terms
+        table = self._entropies
+        if table is None:  # sums only the marginals the expression names
+            return math.fsum(float(c) * self._entropy_bits(mask) for mask, c in terms.items())
+        # each distinct coefficient object is converted once: a metric's
+        # expansion shares one per subset size
+        distinct = {id(c): c for c in terms.values()}
+        floats = {key: float(c) for key, c in distinct.items()}
+        coeffs = np.fromiter(map(floats.__getitem__, map(id, terms.values())), float, len(terms))
+        return math.fsum((coeffs * table[np.fromiter(terms, np.intp, len(terms))]).tolist())
 
     def u_values(self) -> tuple[float, ...]:
         """The u_1..u_{n-1} profile in bits, from the entropy table in closed form.

@@ -122,6 +122,70 @@ def test_on_demand_marginals_equal_the_table_entries():
         assert values() == before
 
 
+def _block_boundary() -> int:
+    """The fewest binary variables whose entropy table needs more than one block."""
+    n = 1
+    while 3**n <= distributions._BLOCK_CELLS:
+        n += 1
+    return n
+
+
+def _on_demand_and_table(d: JointDistribution) -> tuple[list[float], list[float]]:
+    on_demand = [d._entropy_bits(mask) for mask in range(1 << d.n)]
+    return on_demand, d._entropy_table().tolist()
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 2), (2, 12, 3, 2), (16, 3)])
+def test_on_demand_marginals_equal_the_table_entries_on_long_axes(shape):
+    # numpy's own sum adds pairwise along a contiguous axis of 8 or more cells
+    # and in order elsewhere, so the same marginal could round differently
+    # on demand and inside a block; every axis sum adds its slices in order
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.random(shape)
+    arr[arr < 0.2] = 0.0
+    on_demand, table = _on_demand_and_table(JointDistribution(arr / arr.sum()))
+    assert on_demand == table
+
+
+def test_on_demand_marginals_equal_the_table_entries_across_blocks():
+    # the walk splits this table into several blocks and walks the nodes above them
+    n = _block_boundary()
+    d = random_distribution(np.random.default_rng(18), [2] * n)
+    on_demand, table = _on_demand_and_table(d)
+    assert on_demand == table
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_uniform_bits_have_integer_entropies_across_blocks(offset):
+    # every probability, sum and logarithm is a power of two: no rounding at all
+    n = _block_boundary() + offset
+    d = JointDistribution(np.full((2,) * n, 0.5**n))
+    table = d._entropy_table()
+    assert table.tolist() == np.bitwise_count(np.arange(1 << n)).astype(float).tolist()
+    for mask in (1, (1 << n) - 1, 0b101):
+        assert JointDistribution(d.pmf)._entropy_bits(mask) == mask.bit_count()
+
+
+def test_point_mass_entropies_are_positive_zero():
+    # a size-1 axis included; -0.0 would print as "-0.0"
+    d = JointDistribution.from_pmf({(1, 0, 2, 1): 1.0})
+    on_demand, table = _on_demand_and_table(d)
+    for h in on_demand + table:
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_table_evaluation_is_the_per_term_sum(n):
+    # one gather from the table and one float per distinct coefficient give
+    # the same IEEE products, so fsum gives the same float as term by term
+    d = random_distribution(np.random.default_rng(n), [2] * n)
+    d.u_values()
+    for name in METRIC_NAMES:
+        e = metric_expression(name, n)
+        per_term = math.fsum(float(c) * d._entropy_bits(mask) for mask, c in e.terms.items())
+        assert d.evaluate(e) == per_term, name
+
+
 # ---------------------------------------------------------------------------
 # u profiles
 # ---------------------------------------------------------------------------
