@@ -152,6 +152,24 @@ def _check_sum(total: float) -> None:
         )
 
 
+class _RepeatedState(DistributionFormatError):
+    """A state given twice in one table of states."""
+
+
+def _refuse_repeated_states(states: np.ndarray) -> None:
+    """Refuse a 2-D table of states in which some row occurs twice.
+
+    The rows are sorted lexicographically, so equal rows become neighbours;
+    this works at any symbol size, past int64 too.  Rows of no symbols are
+    all equal.
+    """
+    ordered = states[np.lexsort(states.T)] if states.shape[1] else states
+    repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
+    if repeated.any():
+        state = tuple(ordered[repeated.argmax()].tolist())
+        raise _RepeatedState(f"duplicate state {state}")
+
+
 def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
     """Dense array of ``sizes`` holding the summed ``weights`` (default: the
     count) of each state, one row of in-range ``codes`` per state.
@@ -217,13 +235,28 @@ class JointDistribution:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pmf(cls, mapping: Mapping[tuple[int, ...], float]) -> "JointDistribution":
-        """Build from a state -> probability map.
+    def from_pmf(
+        cls, pmf: Mapping[tuple[int, ...], float] | tuple[Sequence[Sequence[int]], Sequence[float]]
+    ) -> "JointDistribution":
+        """Build from a state -> probability map or a ``(states, probs)`` pair.
 
-        Each alphabet size is one plus the largest symbol seen in its position.
+        The pair holds one state per row of ``states`` (a 2-D integer array
+        is taken as it is) and its probability at the same index of
+        ``probs``.  A state given twice is refused, never merged.  Each
+        alphabet size is one plus the largest symbol seen in its position.
         """
-        states = _symbol_array(list(mapping), "empty distribution")
-        probs = [float(p) for p in mapping.values()]
+        if isinstance(pmf, Mapping):
+            states = _symbol_array(list(pmf), "empty distribution")
+            probs = [float(p) for p in pmf.values()]
+        else:
+            states, probs = pmf
+            states = _symbol_array(states, "empty distribution")
+            probs = np.asarray(probs, dtype=float)
+            if probs.shape != (len(states),):
+                raise DistributionFormatError(
+                    f"{len(states)} states but probabilities of shape {probs.shape}"
+                )
+            _refuse_repeated_states(states)
         sizes = tuple(int(s) + 1 for s in states.max(axis=0))
         return cls(_dense_table(states, sizes, probs))
 
@@ -233,15 +266,25 @@ class JointDistribution:
 
         Entropy does not depend on labels, so each variable's observed
         symbols are relabelled to dense codes 0..k-1 in increasing order;
-        sparse symbols such as 0 and 99991 cost no empty table cells.
+        sparse symbols such as 0 and 99991 cost no empty table cells.  An
+        integer column whose largest symbol is below the number of rows is
+        relabelled in O(rows) by a table of the symbols present; any other
+        column (sparse codes, symbols past int64) by a sort.
         """
         data = _symbol_array(rows, "no samples")
         codes = np.empty(data.shape, dtype=np.intp)
         sizes = []
         for j, column in enumerate(data.T):
-            symbols, inverse = np.unique(column, return_inverse=True)
-            codes[:, j] = inverse.ravel()
-            sizes.append(len(symbols))
+            if data.dtype != object and (top := int(column.max())) < len(data):
+                seen = np.zeros(top + 1, dtype=bool)
+                seen[column] = True
+                rank = np.cumsum(seen) - 1  # the rank of each present symbol
+                codes[:, j] = rank[column]
+                sizes.append(int(rank[-1]) + 1)
+            else:
+                symbols, inverse = np.unique(column, return_inverse=True)
+                codes[:, j] = inverse.ravel()
+                sizes.append(len(symbols))
         return cls(_dense_table(codes, tuple(sizes)) / len(data))
 
     # -- entropies ---------------------------------------------------------
@@ -355,9 +398,12 @@ def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
     observation.  Symbols are nonnegative integers.  Errors carry the
     offending 1-based line number.
 
-    numpy's C reader takes the body when it can; a row loop reads the rest
+    numpy's C reader takes the body when it can, and its arrays go to the
+    constructors as they are: a p-table as one ``(states, probs)`` pair to
+    :meth:`JointDistribution.from_pmf`, samples to
+    :meth:`JointDistribution.from_samples`.  A row loop reads the rest
     (blank cells, ``1_0``, non-ASCII digits, symbols past int64) and words
-    every error.
+    every error, a repeated state with both of its line numbers.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
@@ -395,9 +441,9 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     None leaves the body to :func:`_from_rows`, the only reader that words
     an error in a row and the only one that takes what ``loadtxt`` refuses
     (blank cells, ``1_0``, non-ASCII digits, symbols past int64).  The
-    symbols and probabilities go through the constructors' own checks; this
-    adds only what they cannot see (the row loop's field limits, the sum as
-    written, a duplicate state).
+    symbols, probabilities and repeated states go through the constructors'
+    own checks; this adds only what they cannot see (the row loop's field
+    limits, the sum as written).
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
@@ -431,16 +477,15 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
         _symbol_array(table["s"] if has_p else table, "no data rows")
         if has_p:
             _check_probabilities(table["p"])
-            probs = table["p"].tolist()
-            _check_sum(sum(probs))
+            _check_sum(sum(table["p"].tolist()))
     except ValueError:
         return None
     if not has_p:
         return JointDistribution.from_samples(table)
-    mapping = dict(zip(map(tuple, table["s"].tolist()), probs))
-    if len(mapping) != len(probs):
-        return None  # a duplicate state
-    return JointDistribution.from_pmf(mapping)
+    try:  # from_pmf refuses a repeated state before any other table rule
+        return JointDistribution.from_pmf((table["s"], table["p"]))
+    except _RepeatedState:
+        return None  # the row loop words it with both line numbers
 
 
 def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:

@@ -458,6 +458,96 @@ def test_from_pmf_refuses_oversized_table_before_allocating():
         JointDistribution.from_pmf({(MAX_DENSE_CELLS,): 1.0})
 
 
+def test_pair_form_of_from_pmf_matches_the_mapping_form():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 5, size=int(rng.integers(1, 5))).tolist())
+        cells = np.array(list(np.ndindex(shape)), dtype=np.int64).reshape(-1, len(shape))
+        states = cells[rng.permutation(len(cells))[: int(rng.integers(1, len(cells) + 1))]]
+        probs = rng.random(len(states))
+        probs[rng.random(len(states)) < 0.3] = 0.0
+        probs[0] += 0.1
+        probs /= probs.sum()
+        expected = JointDistribution.from_pmf(dict(zip(map(tuple, states.tolist()), probs.tolist())))
+        for pair in (
+            (states, probs),
+            (states.astype(np.uint8), probs.tolist()),
+            ([tuple(s) for s in states.tolist()], probs),
+        ):
+            d = JointDistribution.from_pmf(pair)
+            assert d.alphabet_sizes == expected.alphabet_sizes
+            assert d.pmf.tobytes() == expected.pmf.tobytes()
+
+
+@pytest.mark.parametrize("states, probs, refusal", [
+    (np.array([[0], [1]]), [1.0], "2 states but probabilities of shape"),
+    (np.array([[0, 1], [1, 0], [0, 1]]), [0.25, 0.5, 0.25], "duplicate state (0, 1)"),
+    (np.empty((0, 2), dtype=np.int64), [], "empty distribution"),
+    (np.array([[0], [-1]]), [0.5, 0.5], "symbols must be nonnegative integers"),
+    (np.array([[0.5, 0.0]]), [1.0], "is not an integer"),
+    (np.array([[True, False]]), [1.0], "is not an integer"),
+    (np.array([[0, 0], [999_999, 999_999]]), [0.5, 0.5], "dense table"),
+    (np.zeros((1, 21), dtype=np.int64), [1.0], "at most 20 variables"),
+    (np.empty((1, 0), dtype=np.int64), [1.0], "at least one variable"),
+], ids=["length-mismatch", "repeated-rows", "empty", "negative", "float", "bool",
+        "dense-cap", "21-variables", "no-variables"])
+def test_pair_form_of_from_pmf_refuses_in_the_mapping_forms_words(states, probs, refusal):
+    with pytest.raises(ValueError) as pair:
+        JointDistribution.from_pmf((states, probs))
+    assert refusal in str(pair.value)
+    mapping = dict(zip(map(tuple, states), probs))
+    if len(mapping) == len(states) == len(probs):  # the same table as a mapping
+        with pytest.raises(ValueError) as by_mapping:
+            JointDistribution.from_pmf(mapping)
+        assert (type(pair.value), str(pair.value)) == (type(by_mapping.value), str(by_mapping.value))
+
+
+def _relabelled_by_unique(data) -> tuple[tuple[int, ...], bytes]:
+    """The samples' alphabet and pmf bytes, each column relabelled by a sort."""
+    columns = [np.unique(column, return_inverse=True) for column in np.asarray(data).T]
+    sizes = tuple(len(symbols) for symbols, _ in columns)
+    flat = np.ravel_multi_index([inverse for _, inverse in columns], sizes)
+    d = JointDistribution(np.bincount(flat, minlength=math.prod(sizes)).reshape(sizes) / len(flat))
+    return sizes, d.pmf.tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    "largest-n-1", "largest-n", "one-symbol", "uint8", "sparse", "past-int64",
+])
+def test_presence_relabel_equals_the_sorted_relabel(case):
+    # a column whose largest symbol is below the row count is relabelled by
+    # a presence table, any other by np.unique; both give np.unique's codes
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for _ in range(20):
+        rows = int(rng.integers(4, 40))  # above column 1's largest symbol, 2
+        data = rng.integers(0, rows, size=(rows, 3))
+        data[rng.integers(rows), 0] = rows - 1
+        data[:, 1] = rng.integers(0, 3, size=rows)
+        sorted_columns = 0
+        if case == "largest-n":
+            data[rng.integers(rows), 2] = rows
+            sorted_columns = 1
+        elif case == "one-symbol":
+            data[:, 2] = rng.integers(0, rows)
+        elif case == "uint8":
+            data = rng.integers(0, 256, size=(300, 3)).astype(np.uint8)
+            data[7, 0] = 255  # seen needs 256 slots
+        elif case == "sparse":
+            data[:, 2] = np.array([0, 65537, 99991])[data[:, 1]]
+            data[0, 2] = 99991
+            sorted_columns = 1
+        expected = _relabelled_by_unique(data)
+        if case == "past-int64":
+            data = [tuple(row) for row in data.tolist()]
+            data[0] = (2**64,) + data[0][1:]
+            expected = _relabelled_by_unique(np.array(data, dtype=object))
+            sorted_columns = 3
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            d = JointDistribution.from_samples(data)
+        assert unique.call_count == sorted_columns
+        assert (d.alphabet_sizes, d.pmf.tobytes()) == expected
+
+
 # ---------------------------------------------------------------------------
 # CSV loader
 # ---------------------------------------------------------------------------
@@ -473,6 +563,18 @@ def test_load_csv_duplicate_state_rejected():
     # merged, the states would pass every constructor check as [0.5, 0.5]
     with pytest.raises(DistributionFormatError, match="line 4: duplicate state"):
         _load("x1,p\n0,0.5\n1,0\n1,0.5\n")
+
+
+@pytest.mark.parametrize("text, refusal", [
+    ("x1,p\n0,0.25\n1,0.25\n2,0.25\n0,0.25\n", "line 5: duplicate state (0,) (first at line 2)"),
+    (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.25\n0,0,0.25\n",
+     "line 4: duplicate state (0, 0) (first at line 2)"),
+], ids=["not-adjacent", "over-the-dense-cap"])
+def test_load_csv_words_a_repeated_state_anywhere(text, refusal):
+    # the row loop reports a repeat before the dense cap; the numpy reader too
+    with mock.patch.object(distributions, "_from_columns", return_value=None):
+        assert _outcome(text) == (DistributionFormatError, refusal)
+    assert _outcome(text) == (DistributionFormatError, refusal)
 
 
 def test_load_csv_bad_sum_rejected():
