@@ -463,14 +463,27 @@ def span_dimensions(n: int) -> tuple[int, int]:
 
 
 def expression_to_json(e: EntropyExpression) -> dict:
-    """JSON-ready form: terms sorted by mask, subsets ascending, exact coeffs."""
-    return {
-        "n": e.n,
-        "terms": [
-            {"subset": list(mask_members(mask)), "coeff": str(c)}
-            for mask, c in e.items()
-        ],
-    }
+    """JSON-ready form: terms sorted by mask, subsets ascending, exact coeffs.
+
+    A subset is its lowest member followed by the subset of the term that
+    lacks it, when that term came earlier; each distinct coefficient object
+    is printed once, keyed by its ``id`` (``e`` keeps it alive).
+    """
+    subsets: dict[int, list[int]] = {}
+    texts: dict[int, str] = {}
+    terms = []
+    for mask, c in e.items():
+        low = mask & -mask
+        rest = subsets.get(mask ^ low)
+        if rest is None:
+            subset = subsets[mask] = list(mask_members(mask))
+        else:
+            subset = subsets[mask] = [low.bit_length(), *rest]
+        text = texts.get(id(c))
+        if text is None:
+            text = texts[id(c)] = str(c)
+        terms.append({"subset": subset, "coeff": text})
+    return {"n": e.n, "terms": terms}
 
 
 _MAX_COEFF_DIGITS = 4300  # CPython's default int <-> str conversion limit

@@ -113,7 +113,12 @@ def _symbol_array(states, empty: str) -> np.ndarray:
     Python ints past int64 give an object array.
     """
     if not (isinstance(states, np.ndarray) and states.ndim == 2 and states.dtype.kind in "iu"):
-        states = [tuple(state) for state in states]
+        try:
+            states = [tuple(state) for state in states]
+        except TypeError:  # a bare symbol where a row was due, or no rows at all
+            raise DistributionFormatError(
+                "states must be rows of symbols, one sequence per state"
+            ) from None
         if not states:
             raise DistributionFormatError(empty)
         nvars = len(states[0])

@@ -10,15 +10,17 @@ import subprocess
 import sys
 import time
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entroconj import (
     METRIC_NAMES,
+    EntropyExpression,
     SpinEnsembleConfig,
     antichain_to_bf,
     cmi_atom_set,
@@ -194,6 +196,54 @@ def test_bad_expression_json(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(main, ["conjugate", str(path)])
     assert result.exit_code == 2
+
+
+def _json_oracle(e):
+    # the one-generator-per-term form that expression_to_json builds faster
+    return {
+        "n": e.n,
+        "terms": [{"subset": list(mask_members(m)), "coeff": str(c)} for m, c in e.items()],
+    }
+
+
+@st.composite
+def printed_expressions(draw):
+    """Expressions on 1..14 variables whose terms share, negate and copy coefficients."""
+    n = draw(st.integers(1, 14))
+    full = (1 << n) - 1
+    if draw(st.booleans()):  # dense: a run of consecutive masks
+        start = draw(st.integers(1, full))
+        masks = range(start, min(full, start + draw(st.integers(0, 1023))) + 1)
+    else:
+        masks = draw(st.sets(st.integers(1, full), max_size=40))
+    pool = draw(st.lists(
+        st.one_of(
+            st.fractions(max_denominator=50),
+            st.integers(1, 10**400).map(lambda k: Fraction(10**299 + k, 7)),
+        ).filter(bool),
+        min_size=1, max_size=6,
+    ))
+    pool += [-c for c in pool] + [Fraction(c.numerator, c.denominator) for c in pool]
+    return EntropyExpression(n, {m: draw(st.sampled_from(pool)) for m in masks})
+
+
+@given(printed_expressions())
+@example(EntropyExpression(1))
+@example(EntropyExpression(9))
+@example(EntropyExpression(64, {1 << 63: Fraction(1, 3), (1 << 63) | 5: Fraction(-2), 6: Fraction(1, 3)}))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_expression_text_is_the_indented_json_dump(e):
+    obj = expression_to_json(e)
+    assert obj == _json_oracle(e)
+    assert cli._expression_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_expression_json_prints_each_coefficient_object_once():
+    shared, copy = Fraction(1, 3), Fraction(1, 3)
+    obj = expression_to_json(EntropyExpression(3, {1: shared, 2: shared, 3: copy, 4: -shared}))
+    texts = [term["coeff"] for term in obj["terms"]]
+    assert texts == ["1/3", "1/3", "1/3", "-1/3"]
+    assert texts[0] is texts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +582,10 @@ def test_results_past_the_digit_limit_are_domain_errors(runner, tmp_path, comman
     # and the u-basis residual 2 * 9e4299 do not
     result = invoke(runner, [command, str(_write_coefficients(tmp_path, "9e4299", "9e4299"))])
     _assert_error(result, 3, "4300 digits")
+    # nothing of the result is printed, not even the conjugate's terms ahead
+    # of the full set's; the error is the one line on stderr
     assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

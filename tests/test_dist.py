@@ -415,6 +415,24 @@ def test_from_samples_rejects_ragged_and_negative_rows():
         JointDistribution.from_samples([(0, 1), (-1, 0)])
 
 
+# a bare symbol where a state row is due is refused in words
+
+
+def test_from_samples_refuses_a_list_of_bare_symbols():
+    with pytest.raises(DistributionFormatError, match="states must be rows of symbols"):
+        JointDistribution.from_samples([0, 1])
+
+
+def test_from_samples_refuses_a_one_dimensional_array():
+    with pytest.raises(DistributionFormatError, match="states must be rows of symbols"):
+        JointDistribution.from_samples(np.array([0, 1, 1]))
+
+
+def test_from_pmf_refuses_bare_symbol_keys():
+    with pytest.raises(DistributionFormatError, match="states must be rows of symbols"):
+        JointDistribution.from_pmf({0: 0.5, 1: 0.5})
+
+
 @pytest.mark.parametrize("build", [
     lambda: JointDistribution.from_samples([(0.9, 0), (1.2, 1), (1.7, 1)]),
     lambda: JointDistribution.from_samples([(0, 1), (True, 0)]),
