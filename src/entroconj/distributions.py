@@ -247,21 +247,18 @@ class JointDistribution:
 
         The pair holds one state per row of ``states`` (a 2-D integer array
         is taken as it is) and its probability at the same index of
-        ``probs``.  A state given twice is refused, never merged.  Each
-        alphabet size is one plus the largest symbol seen in its position.
+        ``probs``; a mapping is taken as the pair of its keys and values.
+        A state given twice is refused, never merged.  Each alphabet size is
+        one plus the largest symbol seen in its position.
         """
-        if isinstance(pmf, Mapping):
-            states = _symbol_array(list(pmf), "empty distribution")
-            probs = [float(p) for p in pmf.values()]
-        else:
-            states, probs = pmf
-            states = _symbol_array(states, "empty distribution")
-            probs = np.asarray(probs, dtype=float)
-            if probs.shape != (len(states),):
-                raise DistributionFormatError(
-                    f"{len(states)} states but probabilities of shape {probs.shape}"
-                )
-            _refuse_repeated_states(states)
+        states, probs = (list(pmf), list(pmf.values())) if isinstance(pmf, Mapping) else pmf
+        states = _symbol_array(states, "empty distribution")
+        probs = np.asarray(probs, dtype=float)
+        if probs.shape != (len(states),):
+            raise DistributionFormatError(
+                f"{len(states)} states but probabilities of shape {probs.shape}"
+            )
+        _refuse_repeated_states(states)
         sizes = tuple(int(s) + 1 for s in states.max(axis=0))
         return cls(_dense_table(states, sizes, probs))
 
@@ -503,7 +500,7 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
     nvars = ncols - (1 if has_p else 0)
     states: list[tuple[int, ...]] = []
     probs: list[float] = []
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[int, ...], int] = {}  # from_pmf would refuse a repeat without its lines
     try:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -556,4 +553,4 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
     if not has_p:
         return JointDistribution.from_samples(states)
     _check_sum(sum(probs))
-    return JointDistribution.from_pmf(dict(zip(states, probs)))
+    return JointDistribution.from_pmf((states, probs))

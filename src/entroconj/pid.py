@@ -175,7 +175,7 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
         raise ValueError("antichain members must be nonempty")
     for i, m1 in enumerate(masks):
         for m2 in masks[i + 1 :]:
-            if m1 & m2 == m1 or m1 & m2 == m2:
+            if m1 & m2 == m1:  # masks ascend, so no later one lies inside m1
                 raise ValueError(
                     f"{mask_members(m1)} and {mask_members(m2)} are nested: "
                     "antichain members must be incomparable"

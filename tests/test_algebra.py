@@ -376,6 +376,8 @@ def test_u_expression_range_check():
         u_expression(0, 3)
     with pytest.raises(ValueError):
         u_expression(3, 3)
+    with pytest.raises(ValueError, match=r"^k must lie in 0\.\.3, got 4$"):
+        r_expression(4, 3)
 
 
 def test_u_expression_matches_the_pair_average():

@@ -541,6 +541,8 @@ def _terms(*pairs):
     ({"n": 3, "terms": _terms(([1], "0"), ([1], "1"))}, "duplicate subset [1]"),
     ({"n": 0, "terms": []}, "an expression needs at least one variable"),
     ({"n": 0, "terms": _terms(([], "1"))}, "an expression needs at least one variable"),
+    # an exponent that is not an integer is left to Fraction to word
+    ({"n": 3, "terms": _terms(([1], "1e1.5"),)}, "malformed term 0: Invalid literal for Fraction: '1e1.5'"),
 ])
 def test_expression_json_errors_are_worded_exactly(runner, obj, message):
     for command in SYMBOLIC_COMMANDS:

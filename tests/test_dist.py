@@ -618,6 +618,13 @@ def test_load_csv_reports_line_numbers():
         _load("x1,x2,p\n0,0,0.5\n0,1,0.25\n1,0\n")
     with pytest.raises(DistributionFormatError, match="line 3"):
         _load("x1,x2,p\n0,0,0.5\n0,0,0.5\n")
+    with pytest.raises(DistributionFormatError, match=r"^line 3: probability 'abc' is not a number$"):
+        _load("x1,x2,p\n0,0,0.5\n0,1,abc\n")
+    # the sum is 1, so only the row rule refuses it
+    with pytest.raises(DistributionFormatError, match="^line 3: negative probability$"):
+        _load("x1,p\n0,1.5\n1,-0.5\n")
+    with pytest.raises(DistributionFormatError, match=r"^line 1: field larger than field limit \(131072\)$"):
+        _load("x" * 200_000 + ",p\n0,1\n")
 
 
 @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
