@@ -17,9 +17,9 @@ Both directions between the u_k basis and subset entropies go through one
 second difference.  With r_s the average entropy over size-s subsets
 (r_0 = 0), u_k = 2 r_k - r_{k-1} - r_{k+1}, so sum_k c_k u_k puts
 (2 c_s - c_{s-1} - c_{s+1}) / C(n,s) on every size-s subset (c_0 = c_n = 0).
-``u_expression`` and ``from_u_basis`` expand by that closed form and
-``to_u_basis`` solves it back; the definitional pair average is kept in the
-tests as the oracle ``definitional_u_expression``.
+``u_expression`` and ``from_u_basis`` expand by that closed form over the
+cached size classes of ``r_expression``, and ``to_u_basis`` solves it back;
+the definitional pair average is the tests' oracle ``definitional_u_expression``.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def u_expression(k: int, n: int) -> EntropyExpression:
     for size, weight in ((k - 1, -1), (k, 2), (k + 1, -1)):
         if size:
             w = Fraction(weight, comb(n, size))
-            terms.update(dict.fromkeys(_masks_of_size(n, size), w))
+            terms.update(dict.fromkeys(r_expression(size, n)._terms, w))
     return _expression(n, terms)
 
 
@@ -379,22 +379,22 @@ def from_u_basis(c: "UBasisVector") -> EntropyExpression:
 
     Every u_k is label-symmetric, so its coefficient on the lowest size-s
     mask is its weight on every size-s subset.  Summing c_k times those
-    weights gives each size-s subset (2 c_s - c_{s-1} - c_{s+1}) / C(n,s),
-    and the expression is built once from the per-size weights.
+    weights (one integer sum per size, as in ``conjugate``) puts
+    (2 c_s - c_{s-1} - c_{s+1}) / C(n,s) on each subset of ``r_expression(s, n)``.
     """
     n = c.n
-    weight = [Fraction(0)] * (n + 1)
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for k, ck in enumerate(c.c, start=1):
         if ck:
             u = u_expression(k, n)._terms
             for s in range(1, n + 1):
-                w = u.get((1 << s) - 1)
-                if w is not None:
-                    weight[s] += ck * w
+                if (w := u.get((1 << s) - 1)) is not None:
+                    parts[s].append((ck.numerator * w.numerator, ck.denominator * w.denominator))
     terms: dict[int, Fraction] = {}
-    for s in range(1, n + 1):
-        if weight[s]:
-            terms.update(dict.fromkeys(_masks_of_size(n, s), weight[s]))
+    for s, part in enumerate(parts):
+        den = lcm(*(d for _, d in part))  # lcm() of no denominators is 1
+        if total := sum(p * (den // d) for p, d in part):
+            terms.update(dict.fromkeys(r_expression(s, n)._terms, Fraction(total, den)))
     return _expression(n, terms)
 
 

@@ -141,6 +141,14 @@ def _symbol_array(states, empty: str) -> np.ndarray:
     return states
 
 
+def _as_float(p, where: str = "") -> float:
+    """``p`` as a float; a refusal names it, after ``where`` (the CSV row loop's line)."""
+    try:
+        return float(p)
+    except (TypeError, ValueError):
+        raise DistributionFormatError(f"{where}probability {p!r} is not a number") from None
+
+
 def _check_probabilities(arr: np.ndarray) -> None:
     """Refuse probabilities unless every one is finite and nonnegative."""
     if not np.isfinite(arr).all():
@@ -253,6 +261,8 @@ class JointDistribution:
         """
         states, probs = (list(pmf), list(pmf.values())) if isinstance(pmf, Mapping) else pmf
         states = _symbol_array(states, "empty distribution")
+        if isinstance(probs, (list, tuple)):  # numpy reads None as nan
+            probs = list(map(_as_float, probs))
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(states),):
             raise DistributionFormatError(
@@ -526,12 +536,7 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
             state = tuple(state)
             if has_p:
                 token = row[-1].strip()
-                try:
-                    p = float(token)
-                except ValueError:
-                    raise DistributionFormatError(
-                        f"line {lineno}: probability {token!r} is not a number"
-                    ) from None
+                p = _as_float(token, f"line {lineno}: ")
                 if not math.isfinite(p):
                     raise DistributionFormatError(
                         f"line {lineno}: probability {token!r} is not finite"
@@ -553,4 +558,4 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
     if not has_p:
         return JointDistribution.from_samples(states)
     _check_sum(sum(probs))
-    return JointDistribution.from_pmf((states, probs))
+    return JointDistribution.from_pmf((states, np.array(probs)))

@@ -380,10 +380,41 @@ def test_u_expression_range_check():
         r_expression(4, 3)
 
 
+def _one_coefficient_object_per_size(e: EntropyExpression) -> bool:
+    """True when all terms of one subset size share one ``Fraction`` object."""
+    ids: dict[int, set[int]] = {}
+    for mask, c in e.terms.items():
+        ids.setdefault(mask.bit_count(), set()).add(id(c))
+    return all(len(objects) == 1 for objects in ids.values())
+
+
 def test_u_expression_matches_the_pair_average():
     for n in range(2, 9):
         for k in range(1, n):
             assert u_expression(k, n) == definitional_u_expression(k, n), (k, n)
+            assert _one_coefficient_object_per_size(u_expression(k, n)), (k, n)
+
+
+def test_metric_expansions_enumerate_each_size_class_once(monkeypatch):
+    from entroconj import algebra
+
+    masks_of_size = algebra._masks_of_size
+    enumerated = []
+
+    def counted(n, s):
+        masks = masks_of_size(n, s)
+        enumerated.append(len(masks))
+        return masks
+
+    monkeypatch.setattr(algebra, "_masks_of_size", counted)
+    u_expression.cache_clear()
+    r_expression.cache_clear()
+    for name in METRIC_NAMES:
+        metric_expression(name, 10)
+    assert r_expression.cache_info().misses == 10
+    assert (len(enumerated), sum(enumerated)) == (10, 1023)
+    u_expression.cache_clear()  # no entry built by the counting stand-in outlives the test
+    r_expression.cache_clear()
 
 
 def test_u_conjugation_swaps_order():
@@ -492,6 +523,9 @@ def test_from_u_basis_examples():
     assert from_u_basis(UBasisVector(4, (1, 0, 0))) == u_expression(1, 4)
     assert from_u_basis(UBasisVector(4, (3, 2, 1))) == definitional_metric_expression("tc", 4)
     assert from_u_basis(UBasisVector(3, (1, -1))) == definitional_metric_expression("oinfo", 3)
+    # no table of all 2^64 masks: the expansions hold 2080 and 2081 terms
+    assert from_u_basis(UBasisVector(64, (1,) + (0,) * 62)) == u_expression(1, 64)
+    assert (len(u_expression(1, 64)), len(u_expression(63, 64))) == (2080, 2081)
 
 
 def test_from_u_basis_of_metric_coefficients_is_the_metric_expansion():
@@ -500,6 +534,7 @@ def test_from_u_basis_of_metric_coefficients_is_the_metric_expansion():
             expected = definitional_metric_expression(name, n)
             assert from_u_basis(metric_u_coefficients(name, n)) == expected, (name, n)
             assert metric_expression(name, n) == expected, (name, n)
+            assert _one_coefficient_object_per_size(metric_expression(name, n)), (name, n)
 
 
 def test_from_u_basis_matches_the_pair_average_sum():

@@ -520,6 +520,15 @@ def test_pair_form_of_from_pmf_refuses_in_the_mapping_forms_words(states, probs,
         assert (type(pair.value), str(pair.value)) == (type(by_mapping.value), str(by_mapping.value))
 
 
+@pytest.mark.parametrize("p", [None, (), 0.5 + 0j], ids=["none", "empty-tuple", "complex"])
+def test_from_pmf_names_a_probability_that_is_not_a_number(p):
+    # numpy would read None as nan and refuse the other two in its own words
+    for pmf in ({(0,): p, (1,): 1.0}, (((0,), (1,)), [p, 1.0])):
+        with pytest.raises(DistributionFormatError) as refusal:
+            JointDistribution.from_pmf(pmf)
+        assert str(refusal.value) == f"probability {p!r} is not a number"
+
+
 def _relabelled_by_unique(data) -> tuple[tuple[int, ...], bytes]:
     """The samples' alphabet and pmf bytes, each column relabelled by a sort."""
     columns = [np.unique(column, return_inverse=True) for column in np.asarray(data).T]
