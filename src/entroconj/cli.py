@@ -33,13 +33,14 @@ from .algebra import (
 from .distributions import JointDistribution, load_csv
 from .metrics import METRIC_NAMES, metric_expression
 from .pid import (
+    _checked_tables,
+    _cmi_tables,
     _minimal_sets,
     _packed,
+    _theorem1_holds,
     antichain_to_bf,
     bf_to_antichain,
-    cmi_atom_set,
     dual,
-    enumerate_atoms,
     reference_pid,
     verify_theorem1_sets,
 )
@@ -126,8 +127,9 @@ def _bit_bytes(packed: np.ndarray, positions, zero: int = 0) -> bytes:
     return bits.astype(np.uint8).tobytes()
 
 
-def _echo_atoms(n: int, atoms, values=None) -> None:
-    """Print a nonempty list of atoms exactly as ``_echo_json`` would, faster.
+def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
+    """Print the atoms of a nonempty uint64 array of packed tables exactly
+    as ``_echo_json`` would print their dicts, faster.
 
     Each atom is {"antichain": bf_to_antichain(f), "table": f.table()},
     plus "value" from ``values`` when given.
@@ -139,7 +141,6 @@ def _echo_atoms(n: int, atoms, values=None) -> None:
     for mask in order:
         members = ",\n".join(map(_MEMBER_LINES.__getitem__, mask_members(mask)))
         lists.append(f"      [\n{members}\n      ]")
-    tables = _packed(atoms)
     picks = _bit_bytes(_minimal_sets(tables, n), order)
     # table() puts the bit of position m at index m
     width = 1 << n
@@ -244,10 +245,10 @@ def pid():
 def pid_list_atoms(n):
     """List every atom over n sources."""
     try:
-        atoms = enumerate_atoms(n)
+        tables = _checked_tables(n)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    _echo_atoms(n, atoms)
+    _echo_atoms(n, tables)
 
 
 @pid.command("dual")
@@ -271,13 +272,13 @@ def pid_dual(n, antichain_text):
 def pid_cmi_set(n, a_text, b_text):
     """Atoms that add up to I(X^a ; Y | X^b)."""
     try:
-        enumerate_atoms(n)  # checks n before the lists, and fills the cache read next
+        tables = _checked_tables(n)  # checks n before the lists
         a = _parse_index_list(a_text, "--a")
         b = _parse_index_list(b_text, "--b")
-        atoms = cmi_atom_set(n, a, b)
+        tables = _cmi_tables(tables, n, a, b)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    _echo_atoms(n, atoms)
+    _echo_atoms(n, tables)
 
 
 @pid.command("verify-theorem1")
@@ -287,15 +288,21 @@ def pid_cmi_set(n, a_text, b_text):
 def pid_verify_theorem1(n, a_text, b_text):
     """Check the dual-atom identity for one (a, b) pair or all of them."""
     try:
-        enumerate_atoms(n)  # checks n before the lists, and fills the cache read next
+        tables = _checked_tables(n)  # checks n before the lists
         if a_text is not None:
             a = _parse_index_list(a_text, "--a")
             b = _parse_index_list(b_text, "--b")
             _echo_json({"n": n, "a": a, "b": b, "holds": verify_theorem1_sets(n, a, b)})
             return
-        # every nonempty a with every b disjoint from it (b may be empty)
+        # every nonempty a with every b disjoint from it (b may be empty),
+        # each pair's two atom sets selected from the one table
+        full = (1 << n) - 1
         holds = [
-            verify_theorem1_sets(n, mask_members(ma), mask_members(mb))
+            _theorem1_holds(
+                n,
+                _cmi_tables(tables, n, mask_members(ma), mask_members(mb)),
+                _cmi_tables(tables, n, mask_members(ma), mask_members(full ^ ma ^ mb)),
+            )
             for ma in range(1, 1 << n)
             for mb in range(1 << n)
             if not ma & mb
@@ -328,7 +335,7 @@ def pid_decompose(ctx, dist_file):
                 EXIT_DOMAIN_ERROR,
                 f"decomposition inconsistent on {members}: {total} vs {expected}",
             )
-    _echo_atoms(nsources, values, [v * scale for v in values.values()])
+    _echo_atoms(nsources, _packed(values), [v * scale for v in values.values()])
 
 
 @main.command()

@@ -261,6 +261,8 @@ class JointDistribution:
         """
         states, probs = (list(pmf), list(pmf.values())) if isinstance(pmf, Mapping) else pmf
         states = _symbol_array(states, "empty distribution")
+        if isinstance(probs, np.ndarray) and probs.dtype.kind not in "biuf":
+            probs = probs.tolist()  # read as a list is: numpy would drop an imaginary part
         if isinstance(probs, (list, tuple)):  # numpy reads None as nan
             probs = list(map(_as_float, probs))
         probs = np.asarray(probs, dtype=float)

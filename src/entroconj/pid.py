@@ -143,14 +143,16 @@ def _atom_tables(n: int) -> np.ndarray:
     return tables[1:-1]
 
 
-@lru_cache(maxsize=None, typed=True)
-def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
-    """All atoms over n sources, in lexicographic truth-table order."""
-    n = _as_int(n, "source count")
+def _checked_tables(n: int) -> np.ndarray:
+    """``_atom_tables(n)``, checked as one array by the constructor's rules."""
     tables = _atom_tables(n)
     _check_tables(tables, n)
-    # checked as one array above, so each atom skips __post_init__; setting
-    # the fields one by one keeps the instance dicts key-shared and small
+    return tables
+
+
+def _atoms(tables: np.ndarray, n: int) -> tuple[MonotoneBooleanFunction, ...]:
+    """Atoms of tables checked as one array, so each skips ``__post_init__``;
+    setting the fields one by one keeps the instance dicts key-shared and small."""
     new, put = object.__new__, object.__setattr__
     atoms = []
     for bits in tables.tolist():
@@ -159,6 +161,13 @@ def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
         put(f, "bits", bits)
         atoms.append(f)
     return tuple(atoms)
+
+
+@lru_cache(maxsize=None, typed=True)
+def enumerate_atoms(n: int) -> tuple[MonotoneBooleanFunction, ...]:
+    """All atoms over n sources, in lexicographic truth-table order."""
+    n = _as_int(n, "source count")
+    return _atoms(_checked_tables(n), n)
 
 
 def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction:
@@ -215,25 +224,35 @@ def atom_leq(f: MonotoneBooleanFunction, g: MonotoneBooleanFunction) -> bool:
     return f.bits & ~g.bits == 0
 
 
-def cmi_atom_set(
-    n: int, a: Iterable[int], b: Iterable[int] = ()
-) -> tuple[MonotoneBooleanFunction, ...]:
-    """Atoms that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
-    tables = _atom_tables(n)  # checks n before the index sets are read against it
+def _cmi_tables(tables: np.ndarray, n: int, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
+    """Rows of the atom tables that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
     ma = subset_mask(a, n)
     mb = subset_mask(b, n)
     if ma & mb:
         raise ValueError("index sets must be disjoint")
     if not ma:
         raise ValueError("the first index set must be nonempty")
-    rows = np.flatnonzero((tables >> (ma | mb) & 1) > (tables >> mb & 1))
-    atoms = enumerate_atoms(n)
-    return tuple(atoms[i] for i in rows.tolist())
+    return tables[(tables >> (ma | mb) & 1) > (tables >> mb & 1)]
+
+
+def cmi_atom_set(
+    n: int, a: Iterable[int], b: Iterable[int] = ()
+) -> tuple[MonotoneBooleanFunction, ...]:
+    """Atoms that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
+    n = _as_int(n, "source count")
+    tables = _checked_tables(n)  # checks n before the index sets are read against it
+    return _atoms(_cmi_tables(tables, n, a, b), n)
 
 
 def _packed(atoms: Iterable[MonotoneBooleanFunction]) -> np.ndarray:
     """Packed tables as a uint64 array: OverflowError past 6 sources."""
     return np.array([f.bits for f in atoms], dtype=np.uint64)
+
+
+def _theorem1_holds(n: int, selected: np.ndarray, complement: np.ndarray) -> bool:
+    """Whether dualising the tables of I(X^a ; Y | X^b) gives exactly the
+    tables of I(X^a ; Y | X^{(a u b)^C}), in any order."""
+    return np.array_equal(np.sort(_dual_tables(selected, n)), np.sort(complement))
 
 
 def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> bool:
@@ -245,9 +264,9 @@ def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> boo
     it by direct enumeration, comparing packed truth tables.
     """
     a, b = tuple(a), tuple(b)  # each set is read twice below; an iterator lasts one read
-    dualised = _dual_tables(_packed(cmi_atom_set(n, a, b)), n)  # checks n first
+    selected = _packed(cmi_atom_set(n, a, b))  # checks n first
     complement = mask_members(((1 << n) - 1) ^ (subset_mask(a, n) | subset_mask(b, n)))
-    return np.array_equal(np.sort(dualised), np.sort(_packed(cmi_atom_set(n, a, complement))))
+    return _theorem1_holds(n, selected, _packed(cmi_atom_set(n, a, complement)))
 
 
 def _specific_information_bits(

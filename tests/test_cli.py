@@ -30,7 +30,7 @@ from entroconj import (
     mask_members,
     metric_expression,
 )
-from entroconj import cli
+from entroconj import cli, pid
 from entroconj.cli import main
 
 from helpers import atom_json, csv_texts, oracle_antichain, random_antichain
@@ -333,6 +333,41 @@ def test_pid_cmi_set_checks_source_count_first(runner, n):
     result = invoke(runner, ["pid", "cmi-set", "--n", n, "--a", "[1]"])
     _assert_input_error(result, f"source count {n} outside 1..5")
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("row", [0b0100, 0, 0b1111, 0b10000], ids=["non-monotone", "zero", "full", "too-wide"])
+def test_list_atoms_checks_its_tables_as_the_constructor_does(runner, monkeypatch, row):
+    good = pid._atom_tables(2)
+    monkeypatch.setattr(pid, "_atom_tables", lambda n: np.append(good, np.uint64(row)))
+    enumerate_atoms.cache_clear()
+    with pytest.raises(ValueError) as caught:
+        pid.MonotoneBooleanFunction(2, row)
+    result = invoke(runner, ["pid", "list-atoms", "--n", "2"])
+    enumerate_atoms.cache_clear()
+    _assert_input_error(result, str(caught.value))
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["pid", "cmi-set", "--n", "5", "--a", "[2]", "--b", "[1,4,5]"],
+    ["pid", "list-atoms", "--n", "4"],
+    ["pid", "verify-theorem1", "--n", "4"],
+], ids=["cmi-set", "list-atoms", "verify-sweep"])
+def test_row_commands_print_from_tables_without_building_atoms(runner, monkeypatch, args):
+    expected = invoke(runner, args).stdout
+    enumerate_atoms.cache_clear()
+    # object.__new__ refuses a non-type, so building any atom raises
+    monkeypatch.setattr(pid, "MonotoneBooleanFunction", lambda *fields: pytest.fail("an atom was built"))
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.stdout == expected
+    assert enumerate_atoms.cache_info().currsize == 0
+
+
+def test_verify_sweep_compares_the_dual_sets(runner, monkeypatch):
+    monkeypatch.setattr(pid, "_dual_tables", lambda tables, n: tables)
+    result = invoke(runner, ["pid", "verify-theorem1", "--n", "3"])
+    assert json.loads(result.stdout) == {"n": 3, "pairs_checked": 3**3 - 2**3, "all_hold": False}
 
 
 # The pid commands print atoms with their own renderer; its text must be

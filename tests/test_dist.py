@@ -529,6 +529,25 @@ def test_from_pmf_names_a_probability_that_is_not_a_number(p):
         assert str(refusal.value) == f"probability {p!r} is not a number"
 
 
+@pytest.mark.parametrize("probs, p", [
+    (np.array([0.5 + 0.5j, 0.5]), 0.5 + 0.5j),
+    (np.array([None, 1.0], dtype=object), None),
+    (np.array(["abc", "0.5"]), "abc"),
+], ids=["complex", "object-none", "string"])
+def test_from_pmf_names_a_probability_that_is_not_a_number_in_an_array(probs, p):
+    # numpy would drop the imaginary part, read None as nan and refuse 'abc' in its own words
+    with pytest.raises(DistributionFormatError) as refusal:
+        JointDistribution.from_pmf((((0,), (1,)), probs))
+    assert str(refusal.value) == f"probability {p!r} is not a number"
+
+
+def test_from_pmf_reads_an_array_of_another_kind_as_its_list():
+    states = ((0,), (1,))
+    for probs in (np.array(["0.25", "0.75"]), np.array([0.25, 0.75], dtype=object)):
+        built = JointDistribution.from_pmf((states, probs))
+        assert built.pmf.tobytes() == JointDistribution.from_pmf((states, probs.tolist())).pmf.tobytes()
+
+
 def _relabelled_by_unique(data) -> tuple[tuple[int, ...], bytes]:
     """The samples' alphabet and pmf bytes, each column relabelled by a sort."""
     columns = [np.unique(column, return_inverse=True) for column in np.asarray(data).T]
