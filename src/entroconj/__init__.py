@@ -1,6 +1,6 @@
 """Toolkit for high-order interdependence analysis via entropic conjugation.
 
-The package has four layers:
+The package has five layers:
 
 * :mod:`entroconj.algebra` — exact symbolic algebra over linear combinations
   of subset entropies, the conjugation involution, the u_k basis, and

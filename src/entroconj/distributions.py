@@ -196,7 +196,7 @@ def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.
             f"more than the {MAX_DENSE_CELLS} supported"
         )
     flat = np.zeros(len(codes), dtype=np.intp)
-    for column, size in zip(codes.T, sizes):
+    for column, size in zip(codes.astype(np.intp, copy=False).T, sizes):  # codes < size: they fit
         flat = flat * size + column
     return np.bincount(flat, weights, minlength=cells).reshape(sizes)
 

@@ -31,7 +31,6 @@ __all__ = [
     "antichain_to_bf",
     "bf_to_antichain",
     "dual",
-    "atom_leq",
     "cmi_atom_set",
     "verify_theorem1_sets",
     "reference_pid",
@@ -217,13 +216,6 @@ def dual(f: MonotoneBooleanFunction) -> MonotoneBooleanFunction:
     return MonotoneBooleanFunction(f.n, _dual_tables(f.bits, f.n))
 
 
-def atom_leq(f: MonotoneBooleanFunction, g: MonotoneBooleanFunction) -> bool:
-    """Pointwise order on truth tables: f <= g iff f(a) <= g(a) for all a."""
-    if f.n != g.n:
-        raise ValueError("atoms live over different source counts")
-    return f.bits & ~g.bits == 0
-
-
 def _cmi_tables(tables: np.ndarray, n: int, a: Iterable[int], b: Iterable[int]) -> np.ndarray:
     """Rows of the atom tables that add up to I(X^a ; Y | X^b): f(a|b) = 1 and f(b) = 0."""
     ma = subset_mask(a, n)
@@ -315,14 +307,17 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
             f"the reference decomposition supports 1..{MAX_PID_SOURCES} sources, got {m}"
         )
     p_y = dist.pmf.sum(axis=tuple(range(m)))
-    # every nonempty source set is the one minimal set of some atom
-    specific = {
-        members: _specific_information_bits(dist, members)
-        for members in map(mask_members, range(1, 1 << m))
-    }
-    values: dict[MonotoneBooleanFunction, float] = {}
-    for f in sorted(enumerate_atoms(m), key=lambda f: (-f.bits.bit_count(), f.bits)):
-        stacked = np.array([specific[member] for member in bf_to_antichain(f)])
-        upper = sum(v for g, v in values.items() if atom_leq(f, g))
-        values[f] = float((p_y * stacked.min(axis=0)).sum()) - upper
-    return {f: values[f] for f in enumerate_atoms(m)}
+    atoms = enumerate_atoms(m)
+    tables = _packed(atoms)
+    # row s - 1 for source-set mask s: every nonempty set is the one minimal set of some atom
+    masks = np.arange(1, 1 << m, dtype=np.uint64)
+    specific = np.array([_specific_information_bits(dist, mask_members(s)) for s in masks.tolist()])
+    minimal = _minimal_sets(tables, m)[:, None] >> masks & 1 == 1
+    redundancy = (p_y * np.where(minimal[:, :, None], specific, np.inf).min(axis=1)).sum(axis=1)
+    # most ones first, so every strictly more accessible atom is valued before
+    order = np.lexsort((tables, -np.bitwise_count(tables).astype(np.intp)))
+    values = np.empty(len(atoms))
+    for k, i in enumerate(order.tolist()):
+        done = order[:k]
+        values[i] = redundancy[i] - sum(values[done[tables[i] & ~tables[done] == 0]].tolist())
+    return dict(zip(atoms, values.tolist()))

@@ -15,16 +15,20 @@ from entroconj import (
     EntropyExpression,
     JointDistribution,
     Metric,
+    MonotoneBooleanFunction,
     UBasisVector,
+    bf_to_antichain,
     cmi_atom_set,
     dual,
     entropy_term,
+    enumerate_atoms,
     from_u_basis,
     mask_members,
     mutual_information_expr,
     reference_pid,
     subset_mask,
 )
+from entroconj.pid import _specific_information_bits
 
 
 def xor_triple() -> JointDistribution:
@@ -448,6 +452,36 @@ def oracle_antichain_table(n: int, antichain) -> int:
     """Packed table of the up-set of an antichain: f(a) = 1 iff a member lies in a."""
     masks = [sum(1 << (i - 1) for i in member) for member in antichain]
     return sum(1 << mask for mask in range(1 << n) if any(m & mask == m for m in masks))
+
+
+def atom_leq(f: MonotoneBooleanFunction, g: MonotoneBooleanFunction) -> bool:
+    """Pointwise order on truth tables: f <= g iff f(a) <= g(a) for all a."""
+    if f.n != g.n:
+        raise ValueError("atoms live over different source counts")
+    return f.bits & ~g.bits == 0
+
+
+def oracle_reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, float]:
+    """``reference_pid`` as a loop over atom objects, with no source cap.
+
+    Atoms are valued most ones first; each value is its redundancy minus the
+    sum of the values already found for the atoms above it under
+    ``atom_leq``, added in the order they were found.  The library's packed
+    step adds the same floats in the same order, so the values agree bit
+    for bit.
+    """
+    m = dist.n - 1
+    p_y = dist.pmf.sum(axis=tuple(range(m)))
+    specific = {
+        members: _specific_information_bits(dist, members)
+        for members in map(mask_members, range(1, 1 << m))
+    }
+    values: dict[MonotoneBooleanFunction, float] = {}
+    for f in sorted(enumerate_atoms(m), key=lambda f: (-f.bits.bit_count(), f.bits)):
+        stacked = np.array([specific[member] for member in bf_to_antichain(f)])
+        upper = sum(v for g, v in values.items() if atom_leq(f, g))
+        values[f] = float((p_y * stacked.min(axis=0)).sum()) - upper
+    return {f: values[f] for f in enumerate_atoms(m)}
 
 
 def random_antichain(rng: np.random.Generator, n: int) -> tuple[tuple[int, ...], ...]:

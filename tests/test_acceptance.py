@@ -55,9 +55,9 @@ from entroconj import (
     verify_theorem1_sets,
 )
 from entroconj.algebra import UBasisVector
-from entroconj.pid import atom_leq
 
 from helpers import (
+    atom_leq,
     copy_triple,
     definitional_metric_expression,
     definitional_u_values,

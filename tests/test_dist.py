@@ -497,6 +497,17 @@ def test_pair_form_of_from_pmf_matches_the_mapping_form():
             assert d.pmf.tobytes() == expected.pmf.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_pair_form_of_from_pmf_takes_unsigned_state_arrays(dtype):
+    # an intp index times a uint64 column would promote to float64 and fail in bincount
+    states = np.array([[0, 2], [1, 0], [1, 1]])
+    probs = [0.5, 0.25, 0.25]
+    expected = JointDistribution.from_pmf((states, probs))
+    d = JointDistribution.from_pmf((states.astype(dtype), probs))
+    assert d.alphabet_sizes == expected.alphabet_sizes == (2, 3)
+    assert d.pmf.tobytes() == expected.pmf.tobytes()
+
+
 @pytest.mark.parametrize("states, probs, refusal", [
     (np.array([[0], [1]]), [1.0], "2 states but probabilities of shape"),
     (np.array([[0, 1], [1, 0], [0, 1]]), [0.25, 0.5, 0.25], "duplicate state (0, 1)"),

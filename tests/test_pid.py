@@ -21,14 +21,15 @@ from entroconj import (
     verify_theorem1_sets,
 )
 from entroconj import pid
-from entroconj.pid import atom_leq
 
 from helpers import (
+    atom_leq,
     copy_triple,
     oracle_antichain,
     oracle_antichain_table,
     oracle_atoms,
     oracle_dual,
+    oracle_reference_pid,
     oracle_table,
     oracle_table_error,
     pid_conjugate_check,
@@ -183,6 +184,8 @@ def test_atoms_take_numpy_integers_as_int():
 
 
 def test_atom_order_refuses_different_source_counts():
+    # the oracle order guards its own inputs: atoms over different source
+    # counts have no common lattice to compare in
     with pytest.raises(ValueError, match="atoms live over different source counts"):
         atom_leq(enumerate_atoms(1)[0], enumerate_atoms(2)[-1])
 
@@ -345,6 +348,15 @@ def _values_by_antichain(dist):
     return {bf_to_antichain(f): v for f, v in reference_pid(dist).items()}
 
 
+def _sparse_distribution(rng, nsources):
+    """Sources over 2-3 symbols, a target over 2-9, about a quarter of the cells zero."""
+    sizes = (*rng.integers(2, 4, size=nsources).tolist(), int(rng.integers(2, 10)))
+    pmf = rng.random(sizes)
+    pmf[rng.random(sizes) < 0.25] = 0.0
+    pmf.flat[0] += 0.1  # never all zero
+    return JointDistribution(pmf / pmf.sum())
+
+
 def test_xor_is_pure_synergy():
     values = _values_by_antichain(xor_triple())
     assert values[((1, 2),)] == pytest.approx(1.0, abs=TOL)
@@ -376,6 +388,15 @@ def test_degenerate_target_gives_zero_atoms():
         assert v == pytest.approx(0.0, abs=TOL)
 
 
+def test_two_source_atoms_are_nonnegative():
+    # Williams and Beer show the atoms are nonnegative; a redundancy above
+    # either source's information (a maximum, say) would make a unique atom negative
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        for v in reference_pid(_sparse_distribution(rng, 2)).values():
+            assert v >= -TOL
+
+
 def test_reference_pid_rejects_many_sources():
     with pytest.raises(ValueError):
         reference_pid(JointDistribution(np.full((2,) * 5, 1 / 32)))
@@ -393,6 +414,38 @@ def test_cumulative_sums_rebuild_every_mi():
             total = sum(v for f, v in values.items() if f.value(mask))
             expected = d.conditional_mutual_information(members, (nsources + 1,))
             assert total == pytest.approx(expected, abs=TOL)
+
+
+def _assert_same_bits(values, expected):
+    assert list(values) == list(expected)
+    assert [v.hex() for v in values.values()] == [v.hex() for v in expected.values()]
+
+
+def test_reference_pid_matches_the_object_loop_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for _ in range(240):
+        d = _sparse_distribution(rng, int(rng.integers(1, 4)))
+        _assert_same_bits(reference_pid(d), oracle_reference_pid(d))
+
+
+def test_reference_pid_matches_the_object_loop_at_four_sources(monkeypatch):
+    monkeypatch.setattr(pid, "MAX_PID_SOURCES", 4)
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        d = _sparse_distribution(rng, 4)
+        _assert_same_bits(reference_pid(d), oracle_reference_pid(d))
+
+
+def test_reference_pid_at_five_sources_rebuilds_every_mi(monkeypatch):
+    # the object loop would take seconds here; the sums are the check
+    monkeypatch.setattr(pid, "MAX_PID_SOURCES", 5)
+    d = _sparse_distribution(np.random.default_rng(26), 5)
+    values = reference_pid(d)
+    assert tuple(values) == enumerate_atoms(5)
+    for mask in range(1, 1 << 5):
+        total = sum(v for f, v in values.items() if f.value(mask))
+        expected = d.conditional_mutual_information(mask_members(mask), (6,))
+        assert total == pytest.approx(expected, abs=TOL)
 
 
 # ---------------------------------------------------------------------------
