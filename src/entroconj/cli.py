@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from itertools import compress
 from pathlib import Path
 
@@ -62,6 +63,16 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+@contextmanager
+def _refusing(code: int = EXIT_INPUT_ERROR, errors: type[Exception] = ValueError, prefix: str = ""):
+    """Refuse the job when the block raises one of ``errors``: print
+    ``error: {prefix}{exc}`` and exit with ``code``."""
+    try:
+        yield
+    except errors as exc:
+        _fail(code, f"{prefix}{exc}")
+
+
 def _echo_json(obj) -> None:
     click.echo(json.dumps(obj, indent=2), file=sys.stdout)
 
@@ -93,18 +104,13 @@ def _expression_text(obj: dict) -> str:
 
 
 def _load_distribution(handle) -> JointDistribution:
-    try:
+    with _refusing():
         return load_csv(handle)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
 def _read_expression(handle):
-    try:
-        obj = json.loads(handle.read())
-        return expression_from_json(obj)
-    except (json.JSONDecodeError, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"bad expression JSON: {exc}")
+    with _refusing(prefix="bad expression JSON: "):
+        return expression_from_json(json.loads(handle.read()))
 
 
 def _parse_index_list(text: str, what: str) -> list:
@@ -188,12 +194,10 @@ def metrics(ctx, dist_file, selected):
     dist = _load_distribution(dist_file)
     scale = ctx.obj["scale"]
     names = selected or METRIC_NAMES
-    try:
+    with _refusing():
         u = dist.u_values()  # fills the entropy table every metric then reads
         report = {name: dist.evaluate(metric_expression(name, dist.n)) * scale for name in names}
         report["u"] = [x * scale for x in u]
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     report["n"] = dist.n
     _echo_json(report)
 
@@ -203,10 +207,8 @@ def metrics(ctx, dist_file, selected):
 def conjugate_cmd(expr_file):
     """Entropic conjugate of an expression (JSON in, JSON out)."""
     expr = _read_expression(expr_file)
-    try:
+    with _refusing(EXIT_DOMAIN_ERROR):  # a summed coefficient past the int -> str digit limit
         text = _expression_text(expression_to_json(conjugate_expression(expr)))
-    except ValueError as exc:  # a summed coefficient past the int -> str digit limit
-        _fail(EXIT_DOMAIN_ERROR, str(exc))
     click.echo(text, file=sys.stdout)
 
 
@@ -215,11 +217,9 @@ def conjugate_cmd(expr_file):
 def basis_cmd(expr_file):
     """u-basis coordinates of a label-symmetric in-span expression."""
     expr = _read_expression(expr_file)
-    try:
+    with _refusing(EXIT_DOMAIN_ERROR):  # outside the span, or past the int -> str digit limit
         vector = to_u_basis(expr)
         out = {"n": vector.n, "c": [str(x) for x in vector.c]}
-    except ValueError as exc:  # outside the span, or past the int -> str digit limit
-        _fail(EXIT_DOMAIN_ERROR, str(exc))
     _echo_json(out)
 
 
@@ -228,10 +228,8 @@ def basis_cmd(expr_file):
 def classify_cmd(expr_file):
     """Symmetry class of an expression under entropic conjugation."""
     expr = _read_expression(expr_file)
-    try:
+    with _refusing(EXIT_DOMAIN_ERROR):  # outside the span, or past the int -> str digit limit
         vector = to_u_basis(expr)
-    except ValueError as exc:  # outside the span, or past the int -> str digit limit
-        _fail(EXIT_DOMAIN_ERROR, str(exc))
     _echo_json(classify_vector(vector).value)
 
 
@@ -244,10 +242,8 @@ def pid():
 @click.option("--n", type=int, required=True, help="Number of sources (1..5).")
 def pid_list_atoms(n):
     """List every atom over n sources."""
-    try:
+    with _refusing():
         tables = _checked_tables(n)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     _echo_atoms(n, tables)
 
 
@@ -256,11 +252,8 @@ def pid_list_atoms(n):
 @click.option("--antichain", "antichain_text", required=True, help="JSON, e.g. [[1,2],[1,3]]")
 def pid_dual(n, antichain_text):
     """Dual of an atom given as an antichain of source sets."""
-    try:
-        sets = json.loads(antichain_text)
-        atom = antichain_to_bf(sets, n)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"bad antichain: {exc}")
+    with _refusing(prefix="bad antichain: "):
+        atom = antichain_to_bf(json.loads(antichain_text), n)
     f = dual(atom)
     _echo_json({"antichain": bf_to_antichain(f), "table": f.table()})
 
@@ -271,13 +264,11 @@ def pid_dual(n, antichain_text):
 @click.option("--b", "b_text", default="[]", show_default=True)
 def pid_cmi_set(n, a_text, b_text):
     """Atoms that add up to I(X^a ; Y | X^b)."""
-    try:
+    with _refusing():
         tables = _checked_tables(n)  # checks n before the lists
         a = _parse_index_list(a_text, "--a")
         b = _parse_index_list(b_text, "--b")
         tables = _cmi_tables(tables, n, a, b)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     _echo_atoms(n, tables)
 
 
@@ -287,7 +278,7 @@ def pid_cmi_set(n, a_text, b_text):
 @click.option("--b", "b_text", default="[]", show_default=True)
 def pid_verify_theorem1(n, a_text, b_text):
     """Check the dual-atom identity for one (a, b) pair or all of them."""
-    try:
+    with _refusing():
         tables = _checked_tables(n)  # checks n before the lists
         if a_text is not None:
             a = _parse_index_list(a_text, "--a")
@@ -308,8 +299,6 @@ def pid_verify_theorem1(n, a_text, b_text):
             if not ma & mb
         ]
         _echo_json({"n": n, "pairs_checked": len(holds), "all_hold": all(holds)})
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
 @pid.command("decompose")
@@ -319,10 +308,8 @@ def pid_decompose(ctx, dist_file):
     """Reference decomposition of a distribution (last variable = target)."""
     dist = _load_distribution(dist_file)
     scale = ctx.obj["scale"]
-    try:
+    with _refusing():
         values = reference_pid(dist)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     nsources = dist.n - 1
     dist.u_values()  # fills the entropy table: the guard reads every source set
     # consistency guard: cumulative sums must rebuild every I(X^a ; Y)
@@ -354,7 +341,7 @@ def pid_decompose(ctx, dist_file):
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
 def spinlab(n, beta, mu, sigma2, count, seed, out):
     """Run the spin-ensemble experiment and write its data files."""
-    try:
+    with _refusing():
         config = SpinEnsembleConfig(
             n=n,
             beta=beta,
@@ -363,16 +350,11 @@ def spinlab(n, beta, mu, sigma2, count, seed, out):
             systems_per_condition=count,
             seed=seed,
         )
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    try:
+    # refused when beta * energy overflows
+    with _refusing(EXIT_DOMAIN_ERROR, prefix="cannot build the Boltzmann distributions: "):
         ensemble, pca_result = run_experiment(config)
-    except ValueError as exc:  # beta * energy overflows
-        _fail(EXIT_DOMAIN_ERROR, f"cannot build the Boltzmann distributions: {exc}")
-    try:
+    with _refusing(errors=OSError):
         emit_results(ensemble, pca_result, out, config)
-    except OSError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
 if __name__ == "__main__":

@@ -176,7 +176,10 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
     must be nonempty subsets of {1..n} with none containing another.
     """
     n = _as_int(n, "source count")
-    masks = sorted({subset_mask(member, n) for member in antichain})
+    try:
+        masks = sorted({subset_mask(member, n) for member in antichain})
+    except TypeError:  # a bare index where a member was due, or no members at all
+        raise ValueError("antichain must be a sequence of source sets") from None
     if not masks:
         raise ValueError("antichain must be nonempty")
     if 0 in masks:
@@ -189,13 +192,9 @@ def antichain_to_bf(antichain: AntichainLike, n: int) -> MonotoneBooleanFunction
                     "antichain members must be incomparable"
                 )
     _check_table_sources(n)  # the constructor's range, before any 2^n-bit table
-    full = (1 << (1 << n)) - 1
-    bits = 0
-    for mask in masks:
-        supersets = full
-        for b in mask_members(mask):
-            supersets &= ~_LOW[n][b - 1]
-        bits |= supersets
+    bits = sum(1 << m for m in masks)
+    for b, low in enumerate(_LOW[n]):  # close upward, one source at a time (_one_below's step)
+        bits |= (bits & low) << (1 << b)
     return MonotoneBooleanFunction(n, bits)
 
 

@@ -723,6 +723,64 @@ def test_spinlab_overflowing_weights_are_a_domain_error(runner, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+REFUSAL_FILES = {
+    "bad.csv": "x1,x2,p\n0,0,0.5\n0,zebra,0.5\n",
+    "one.csv": "x1,p\n0,1\n",
+    "wide.csv": "x1,x2,x3,x4,x5\n0,0,0,0,0\n1,1,1,1,1\n",
+    "junk.json": "{not json",
+    # each coefficient prints, their sum does not
+    "big.json": json.dumps({"n": 2, "terms": _terms(([1], "9e4299"), ([2], "9e4299"))}),
+    "h12.json": json.dumps({"n": 2, "terms": _terms(([1, 2], "1"),)}),
+    "blocker": "not a directory\n",
+}
+
+
+# one input for each place the CLI turns a library exception into a refusal
+REFUSALS = [
+    (["metrics", "bad.csv"], 2, "error: line 3: symbol 'zebra'"),
+    (["metrics", "one.csv"], 2, "error: metrics need at least two variables"),
+    (["conjugate", "junk.json"], 2, "error: bad expression JSON: Expecting property name"),
+    (["conjugate", "big.json"], 3, "error: Exceeds the limit (4300 digits)"),
+    (["basis", "h12.json"], 3, "error: expression is outside the u-basis span"),
+    (["classify", "h12.json"], 3, "error: expression is outside the u-basis span"),
+    (["pid", "list-atoms", "--n", "6"], 2, "error: source count 6 outside 1..5"),
+    (["pid", "dual", "--n", "3", "--antichain", "[1]"], 2, "error: bad antichain: antichain must be"),
+    (["pid", "cmi-set", "--n", "3", "--a", "[4]"], 2, "error: variable index 4 outside 1..3"),
+    (["pid", "verify-theorem1", "--n", "0"], 2, "error: source count 0 outside 1..5"),
+    (["pid", "decompose", "wide.csv"], 2, "error: the reference decomposition supports 1..3 sources"),
+    (["spinlab", "--n", "1", "--out", "run"], 2, "error: need at least two spins"),
+    (["spinlab", "--n", "3", "--count", "1", "--beta", "1e308", "--out", "run"], 3,
+     "error: cannot build the Boltzmann distributions: beta * energy is not finite"),
+    (["spinlab", "--n", "3", "--count", "1", "--out", "blocker/run"], 2,
+     "error: cannot write experiment outputs under"),
+]
+
+
+@pytest.mark.parametrize("args, code, start", REFUSALS, ids=[" ".join(case[0]) for case in REFUSALS])
+def test_each_refusal_is_one_error_line_and_its_exit_code(runner, args, code, start):
+    with runner.isolated_filesystem():
+        for name, text in REFUSAL_FILES.items():
+            Path(name).write_text(text)
+        result = invoke(runner, args)
+    assert result.exit_code == code
+    assert result.stderr.startswith(start)
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("antichain", ["[1]", "null", "5", "[[1], 2]"])
+def test_dual_refuses_an_antichain_that_is_not_a_sequence_of_sets(runner, antichain):
+    result = invoke(runner, ["pid", "dual", "--n", "3", "--antichain", antichain])
+    assert result.exit_code == 2
+    assert result.stderr == "error: bad antichain: antichain must be a sequence of source sets\n"
+    assert result.stdout == ""
+
+
+# ---------------------------------------------------------------------------
 # fuzzed input
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import entroconj
@@ -85,3 +86,23 @@ def test_readme_quick_start_gives_its_commented_results():
         assert value == _leading_literal(comment[1:].strip()), (ast.unparse(statement), value)
         checked += 1
     assert checked == block.count("#") > 0
+
+
+def test_the_version_is_written_once():
+    # pyproject takes the version from the package, so the two cannot disagree
+    root = Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "entroconj.__version__"}
+    # setuptools reads a literal assignment without importing the package,
+    # whose dependencies a build environment need not have
+    init = ast.parse(Path(entroconj.__file__).read_text(encoding="utf-8"))
+    literals = [
+        node.value.value
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["__version__"]
+        and isinstance(node.value, ast.Constant)
+    ]
+    assert literals == [entroconj.__version__]

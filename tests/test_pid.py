@@ -265,6 +265,12 @@ def test_antichain_validation():
         antichain_to_bf([[1], [1, 2]], 2)  # nested members
 
 
+@pytest.mark.parametrize("antichain", [[1], None, 5, [[1], 2]], ids=["bare-index", "none", "int", "index-member"])
+def test_antichain_that_is_not_a_sequence_of_sets_is_a_worded_value_error(antichain):
+    with pytest.raises(ValueError, match=r"^antichain must be a sequence of source sets$"):
+        antichain_to_bf(antichain, 3)
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
