@@ -28,7 +28,7 @@ from entroconj import (
     reference_pid,
     subset_mask,
 )
-from entroconj.pid import _specific_information_bits
+from entroconj.pid import _checked_tables, _dual_tables, _specific_information_bits
 
 
 def xor_triple() -> JointDistribution:
@@ -505,6 +505,31 @@ def atom_json(f, value: float | None = None) -> dict:
     if value is not None:
         obj["value"] = value
     return obj
+
+
+def swapped_dual(n: int):
+    """``pid._dual_tables`` with the images of the first and the last atom over
+    n >= 2 sources exchanged: still a permutation of the atoms, not the duality."""
+    first, last = _checked_tables(n)[[0, -1]].tolist()
+
+    def dual_tables(tables, _n):
+        out = np.where(tables == first, _dual_tables(last, n), _dual_tables(tables, n))
+        return np.where(tables == last, _dual_tables(first, n), out)
+
+    return dual_tables
+
+
+def outside_dual(n: int):
+    """``pid._dual_tables`` with one atom's image moved one below its true
+    image, onto a table that is no atom, so that a lookup of the image by its
+    sorted position among the atoms would still land on the true image."""
+    atoms = set(_checked_tables(n).tolist())
+    moved = next(t for t in sorted(atoms) if _dual_tables(t, n) - 1 not in atoms)
+
+    def dual_tables(tables, _n):
+        return np.where(tables == moved, _dual_tables(moved, n) - 1, _dual_tables(tables, n))
+
+    return dual_tables
 
 
 def pid_conjugate_check(dist: JointDistribution, a, b=()) -> tuple[float, float]:

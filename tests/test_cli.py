@@ -33,7 +33,14 @@ from entroconj import (
 from entroconj import cli, pid
 from entroconj.cli import main
 
-from helpers import atom_json, csv_texts, oracle_antichain, random_antichain
+from helpers import (
+    atom_json,
+    csv_texts,
+    oracle_antichain,
+    outside_dual,
+    random_antichain,
+    swapped_dual,
+)
 
 XOR_CSV = "x1,x2,x3,p\n0,0,0,0.25\n0,1,1,0.25\n1,0,1,0.25\n1,1,0,0.25\n"
 
@@ -368,6 +375,26 @@ def test_verify_sweep_compares_the_dual_sets(runner, monkeypatch):
     monkeypatch.setattr(pid, "_dual_tables", lambda tables, n: tables)
     result = invoke(runner, ["pid", "verify-theorem1", "--n", "3"])
     assert json.loads(result.stdout) == {"n": 3, "pairs_checked": 3**3 - 2**3, "all_hold": False}
+
+
+@pytest.mark.parametrize("fault", [swapped_dual, outside_dual], ids=["swapped", "outside"])
+def test_verify_sweep_fails_on_a_dual_that_is_not_the_duality(runner, monkeypatch, fault):
+    monkeypatch.setattr(pid, "_dual_tables", fault(3))
+    result = invoke(runner, ["pid", "verify-theorem1", "--n", "3"])
+    assert json.loads(result.stdout) == {"n": 3, "pairs_checked": 3**3 - 2**3, "all_hold": False}
+
+
+@pytest.mark.parametrize("b", ["garbage", "[]"])  # "[1]" is in REFUSALS
+def test_verify_sweep_refuses_b_without_a(runner, b):
+    result = invoke(runner, ["pid", "verify-theorem1", "--n", "3", "--b", b])
+    _assert_input_error(result, "--b needs --a")
+    assert result.stdout == ""
+
+
+def test_verify_pair_without_b_takes_the_empty_set(runner):
+    result = invoke(runner, ["pid", "verify-theorem1", "--n", "3", "--a", "[1]"])
+    assert json.loads(result.stdout) == {"n": 3, "a": [1], "b": [], "holds": True}
+    assert "  --b TEXT     [default: []]\n" in invoke(runner, ["pid", "verify-theorem1", "--help"]).stdout
 
 
 # The pid commands print atoms with their own renderer; its text must be
@@ -750,6 +777,7 @@ REFUSALS = [
     (["pid", "dual", "--n", "3", "--antichain", "[1]"], 2, "error: bad antichain: antichain must be"),
     (["pid", "cmi-set", "--n", "3", "--a", "[4]"], 2, "error: variable index 4 outside 1..3"),
     (["pid", "verify-theorem1", "--n", "0"], 2, "error: source count 0 outside 1..5"),
+    (["pid", "verify-theorem1", "--n", "3", "--b", "[1]"], 2, "error: --b needs --a; omit both"),
     (["pid", "decompose", "wide.csv"], 2, "error: the reference decomposition supports 1..3 sources"),
     (["spinlab", "--n", "1", "--out", "run"], 2, "error: need at least two spins"),
     (["spinlab", "--n", "3", "--count", "1", "--beta", "1e308", "--out", "run"], 3,

@@ -32,8 +32,10 @@ from helpers import (
     oracle_reference_pid,
     oracle_table,
     oracle_table_error,
+    outside_dual,
     pid_conjugate_check,
     random_distribution,
+    swapped_dual,
     xor_triple,
 )
 
@@ -322,6 +324,55 @@ def test_cmi_atom_set_rejects_overlap():
 
 def test_theorem1_sets_pairwise():
     assert verify_theorem1_sets(2, [1], [2])
+
+
+def _pair_by_pair(n: int) -> tuple[int, bool]:
+    """The sweep as one ``_theorem1_holds`` per pair on ``_cmi_tables`` rows."""
+    tables, full = pid._checked_tables(n), (1 << n) - 1
+    holds = [
+        pid._theorem1_holds(
+            n,
+            pid._cmi_tables(tables, n, mask_members(ma), mask_members(mb)),
+            pid._cmi_tables(tables, n, mask_members(ma), mask_members(full ^ ma ^ mb)),
+        )
+        for ma in range(1, 1 << n)
+        for mb in range(1 << n)
+        if not ma & mb
+    ]
+    return len(holds), all(holds)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_theorem1_sweep_agrees_with_the_pair_by_pair_check(n):
+    swept = pid._theorem1_sweep(pid._checked_tables(n), n)
+    assert swept == _pair_by_pair(n) == (3**n - 2**n, True)
+    assert swept[1] is True  # a bool, as the JSON report needs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sweep_selections_are_the_cmi_rows_of_each_pair(n):
+    tables, full = pid._checked_tables(n), (1 << n) - 1
+    ma, mb, selected, complement = pid._pair_selections(tables, n)
+    pairs = [(a, b) for a in range(1, 1 << n) for b in range(1 << n) if not a & b]
+    assert list(zip(ma.tolist(), mb.tolist())) == pairs  # the pair loop's order
+    assert selected.shape == complement.shape == (len(pairs), (len(tables) + 7) // 8)
+    picks = range(len(pairs))
+    if n == 5:
+        picks = np.random.default_rng(26).choice(len(pairs), size=20, replace=False).tolist()
+    for p in picks:
+        a, b = pairs[p]
+        rows = pid._cmi_tables(tables, n, mask_members(a), mask_members(b))
+        assert np.array_equal(tables[np.unpackbits(selected[p], count=len(tables)) == 1], rows), (a, b)
+        rows = pid._cmi_tables(tables, n, mask_members(a), mask_members(full ^ a ^ b))
+        assert np.array_equal(tables[np.unpackbits(complement[p], count=len(tables)) == 1], rows), (a, b)
+
+
+@pytest.mark.parametrize("fault", [lambda n: lambda tables, _n: tables, swapped_dual, outside_dual],
+                         ids=["identity", "swapped", "outside"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theorem1_sweep_fails_on_a_planted_dual_fault(monkeypatch, fault, n):
+    monkeypatch.setattr(pid, "_dual_tables", fault(n))
+    assert pid._theorem1_sweep(pid._checked_tables(n), n) == _pair_by_pair(n) == (3**n - 2**n, False)
 
 
 def test_theorem1_sets_exhaustive():
