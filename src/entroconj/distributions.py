@@ -13,9 +13,9 @@ whether the table was built.  Every value is in bits; ``entroconj
 --log-base e`` converts CLI output to nats.
 
 :func:`load_csv` reads a body by one of three routes, chosen from its
-bytes: a numpy byte reader for sample bodies of plain digits, commas and
-LFs, numpy's ``loadtxt`` for p-tables and the sample bodies the byte reader
-declines, and a row loop for the rest and for every error.
+bytes: a numpy byte reader for sample bodies of one-digit symbols, commas
+and LFs, numpy's ``loadtxt`` for p-tables and the sample bodies the byte
+reader declines, and a row loop for the rest and for every error.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -51,8 +51,6 @@ MAX_DENSE_CELLS = 1 << 24  # largest pmf array built from states (128 MiB of flo
 # largest lattice block whose entropies are summed in one piece; 1 << 20 was
 # faster at n = 12 but held a 4 MiB block and its temporaries at once
 _BLOCK_CELLS = 1 << 18
-# the place values of the byte reader's digits: 18 digits stay below 2**63
-_POWERS = 10 ** np.arange(18, dtype=np.int64)
 
 
 class DistributionFormatError(ValueError):
@@ -419,9 +417,9 @@ def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
     observation.  Symbols are nonnegative integers.  Errors carry the
     offending 1-based line number.
 
-    A sample body whose rows are each ``n`` fields of 1 to 18 ASCII digits,
-    joined by ``,`` and ended by LF (the last LF optional), is read by a
-    numpy byte reader.  numpy's C reader takes any other body when it can.
+    A sample body whose rows are each ``n`` one-digit symbols, joined by
+    ``,`` and ended by LF (the last LF optional), is read by a numpy byte
+    reader.  numpy's C reader takes any other body when it can.
     Their arrays go to the constructors as they are: a p-table as one
     ``(states, probs)`` pair to :meth:`JointDistribution.from_pmf`, samples
     to :meth:`JointDistribution.from_samples`.  A row loop reads the rest
@@ -472,24 +470,22 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
-    # The byte reader takes no sign and no field past 18 characters, so
-    # neither the field limits nor the symbol rule below can refuse its table.
-    if not has_p and (table := _digits_table(body, nvars)) is not None:
-        return JointDistribution.from_samples(table)
-    # samples: an (rows, columns) int64 array; p-table: one record per row
-    dtype = [("s", np.int64, (nvars,)), ("p", np.float64)] if has_p else np.int64
-    try:
-        table = np.loadtxt(
-            io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar='"',
-            ndmin=1 if has_p else 2,
-        )
-    except (ValueError, OverflowError):
-        return None
+    # samples: a (rows, columns) integer array; p-table: one record per row
+    table = None if has_p else _digits_table(body, nvars)
+    if table is None:
+        dtype = [("s", np.int64, (nvars,)), ("p", np.float64)] if has_p else np.int64
+        try:
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                ndmin=1 if has_p else 2,
+            )
+        except (ValueError, OverflowError):
+            return None
     if not has_p and table.shape[1] != nvars:
         return None
     # The row loop refuses a field longer than csv's limit and a symbol with
-    # more digits than int() converts; loadtxt refuses neither.  The fields
-    # loadtxt took hold a character each, with a comma or line break between
+    # more digits than int() converts; neither reader above refuses them.  The
+    # fields it took hold a character each, with a comma or line break between
     # two, which bounds the longest; past the limit, the lines bound it unless
     # a quote hides a line break.
     fields = len(table) * (nvars + has_p)
@@ -520,54 +516,24 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
 def _digits_table(body: str, nvars: int) -> np.ndarray | None:
     """The samples in ``body`` as an int64 array, or None to leave it to ``loadtxt``.
 
-    Takes only rows of ``nvars`` fields of 1 to 18 ASCII digits, joined by
-    ``,`` and each ended by LF (the last LF optional).  It reads blocks of
-    whole rows, at most ``_BLOCK_CELLS`` fields each, so no temporary of a
-    value per field grows with the body.
+    Takes only rows of ``nvars`` one-digit symbols, joined by ``,`` and each
+    ended by LF (the last LF optional): two bytes per field, read as
+    little-endian pairs of a digit and its separator.
     """
-    if not body.isascii():
+    if body[2 * nvars - 1 : 2 * nvars] not in ("\n", ""):
+        return None  # the first row is not one digit a field: no need to count the rows
+    if not body.endswith("\n"):
+        body += "\n"
+    rows = body.count("\n")
+    if len(body) != 2 * rows * nvars or not body.isascii():
         return None
-    raw = body.encode("ascii")
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    b = np.frombuffer(raw, np.uint8)
-    rows = np.count_nonzero(b == 10)
-    table = np.empty((rows, nvars), np.int64)
-    step = max(1, _BLOCK_CELLS // nvars)
-    if len(b) == 2 * rows * nvars:  # a well-formed body of this length has one digit per field
-        pairs = np.frombuffer(raw, "<u2").reshape(rows, nvars)  # digit + 256 * separator
-        expected = np.full(nvars, 48 + 256 * 44, np.uint16)
-        expected[-1] = 48 + 256 * 10
-        for first in range(0, rows, step):
-            cells = pairs[first : first + step] - expected  # a wrong byte wraps past 9
-            if (cells > 9).any():
-                return None
-            table[first : first + step] = cells
-        return table
-    # as many separators as fields, all of them commas but the LFs
-    if (
-        (b > 57).any()
-        or np.count_nonzero(b < 48) != rows * nvars
-        or np.count_nonzero(b == 44) != rows * (nvars - 1)
-    ):
+    pairs = np.frombuffer(body.encode("ascii"), "<u2").reshape(rows, nvars)
+    expected = np.full(nvars, ord("0") + 256 * ord(","), np.uint16)
+    expected[-1] = ord("0") + 256 * ord("\n")
+    cells = pairs - expected  # a wrong byte wraps past 9
+    if (cells > 9).any():
         return None
-    row_ends = np.flatnonzero(b == 10)
-    for first in range(0, rows, step):
-        last = min(first + step, rows)
-        block = b[row_ends[first - 1] + 1 if first else 0 : row_ends[last - 1] + 1]
-        ends = np.flatnonzero(block < 48)  # the separator after each field
-        if len(ends) != (last - first) * nvars or (block[ends[nvars - 1 :: nvars]] != 10).any():
-            return None  # a row with too few or too many fields
-        lengths = np.diff(ends, prepend=-1)  # each field with its separator
-        if lengths.min() < 2 or lengths.max() > len(_POWERS) + 1:
-            return None
-        digits = block - 48
-        digits[ends] = 0  # a place past a field's first digit reads the separator before it
-        values = np.zeros(len(ends), np.int64)
-        for place in range(int(lengths.max()) - 1):
-            values += digits[ends - np.minimum(lengths, place + 1)] * _POWERS[place]
-        table[first:last] = values.reshape(-1, nvars)
-    return table
+    return cells.astype(np.int64)  # from_samples indexes by symbol: faster with intp
 
 
 def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:

@@ -1,5 +1,6 @@
 """Tests for joint distributions and plug-in evaluation."""
 
+import csv
 import io
 import math
 import warnings
@@ -754,15 +755,17 @@ def test_numpy_reader_matches_the_row_loop(text):
 
 
 _WIDE = ",".join(f"x{i}" for i in range(1, 22))  # one variable past MAX_VARIABLES
+_EIGHT = ",".join(f"x{i}" for i in range(1, 9)) + "\n"
 
 
 @pytest.mark.parametrize("text, refusal", [
     ("x1,x2\n" + "".join(f"{i},{i}\n" for i in range(4097)), "dense table of 16785409 cells"),
-    ("x1,x2\n" + "".join(f"{i}, {i}\n" for i in range(4097)), "dense table of 16785409 cells"),
+    (_EIGHT + "".join(f"{i},{i},{i},{i},{i},{i},{i},{i}\n" for i in range(10)),
+     "dense table of 100000000 cells"),
     (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.5\n", "dense table of 16777217 cells"),
     (_WIDE + "\n" + ",".join("0" * 21) + "\n", "at most 20 variables"),
     (_WIDE + ",p\n" + ",".join("0" * 21) + ",1\n", "at most 20 variables"),
-], ids=["samples-cells", "samples-cells-spaced", "p-table-cells", "samples-variables",
+], ids=["samples-cells", "samples-cells-one-digit", "p-table-cells", "samples-variables",
         "p-table-variables"])
 def test_numpy_reader_refuses_an_oversized_table_itself(text, refusal):
     # a refusal that no single row causes is the row loop's too, word for
@@ -774,18 +777,18 @@ def test_numpy_reader_refuses_an_oversized_table_itself(text, refusal):
         assert _outcome(text) == rows_only
 
 
-# Bodies the byte reader takes, in blocks of three rows (six fields) so that
-# most span several blocks; and bodies it leaves to loadtxt.
+# Bodies the byte reader takes, and bodies it leaves to loadtxt.
 _BYTE_BODIES = {
     "single-digit": "x1,x2\n" + "".join(f"{i % 3},{i % 2}\n" for i in range(10)),
-    "multi-digit": "x1,x2\n10,12345\n3,10\n12345,3\n10,3\n",
-    "leading-zeros": "x1,x2\n007,1\n7,01\n0,00\n10,010\n",
-    "no-final-lf": "x1,x2\n10,2\n3,40\n10,40",
-    "widest": f"x1,x2\n{'9' * 18},0\n{'0' * 17}1,{10**17}\n0,{'9' * 18}\n",
-    "several-blocks": "x1,x2\n" + "".join(f"{7**i % 1000},{i % 3}\n" for i in range(11)),
-    "one-column": "x1\n" + "".join(f"{i * i}\n" for i in range(8)),
+    "every-digit": "x1,x2,x3\n" + "".join(f"{i},{9 - i},{i * i % 10}\n" for i in range(10)),
+    "no-final-lf": "x1,x2\n1,2\n3,4\n1,4",
+    "one-row-no-lf": "x1,x2\n1,2",
+    "one-column": "x1\n" + "".join(f"{i * i % 10}\n" for i in range(8)),
 }
 _LOADTXT_BODIES = {
+    "multi-digit": "x1,x2\n10,12345\n3,10\n12345,3\n10,3\n",
+    "leading-zeros": "x1,x2\n007,1\n7,01\n0,00\n10,010\n",
+    "widest": f"x1,x2\n{'9' * 18},0\n{'0' * 17}1,{10**17}\n0,{'9' * 18}\n",
     "spaced": "x1,x2\n0, 1\n1,0\n",
     "signed": "x1,x2\n+1,0\n1,0\n",
     "quoted": 'x1,x2\n"1",0\n1,0\n',
@@ -794,6 +797,9 @@ _LOADTXT_BODIES = {
     "19-digit": f"x1,x2\n{10**18},0\n1,0\n",
     "non-ascii-digit": "x1,x2\n\u0663,0\n1,0\n",
     "ragged": "x1,x2\n10,1,2\n3\n",
+    "ragged-one-digit": "x1,x2\n0,1,2\n3\n",  # two bytes a field, but not a row's
+    "semicolon": "x1,x2\n0;1\n1,0\n",
+    "colon": "x1,x2\n:,1\n1,0\n",  # the byte after 9
 }
 
 
@@ -802,8 +808,7 @@ def test_byte_reader_takes_canonical_sample_bodies(text):
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("read by loadtxt")), \
-            mock.patch.object(distributions, "_from_rows", side_effect=AssertionError("read by rows")), \
-            mock.patch.object(distributions, "_BLOCK_CELLS", 6):
+            mock.patch.object(distributions, "_from_rows", side_effect=AssertionError("read by rows")):
         assert _outcome(text) == rows_only
 
 
@@ -814,3 +819,17 @@ def test_byte_reader_leaves_other_bodies_to_loadtxt(text):
     assert _outcome(text) == rows_only
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("read by loadtxt")):
         assert _outcome(text) == (AssertionError, "read by loadtxt")
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_byte_reader_keeps_the_csv_field_limit(limit):
+    # empty variable names pass a limit of 0, which refuses every symbol
+    text = ",\n0,1\n1,0\n"
+    old = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(distributions, "_from_columns", return_value=None):
+            rows_only = _outcome(text)
+        assert (rows_only[0] is DistributionFormatError) == (limit == 0)
+        assert _outcome(text) == rows_only
+    finally:
+        csv.field_size_limit(old)
