@@ -15,7 +15,7 @@ whether the table was built.  Every value is in bits; ``entroconj
 :func:`load_csv` reads a body by one of three routes, chosen from its
 bytes: a numpy byte reader for sample bodies of one-digit symbols, commas
 and LFs, numpy's ``loadtxt`` for p-tables and the sample bodies the byte
-reader declines, and a row loop for the rest and for every error.
+reader declines, and a row loop for the rest and to word any row's error.
 
 Probabilities are floats; the exactness guarantees of the toolkit live in
 the symbolic layer, while this layer carries a 1e-9 numeric tolerance.
@@ -55,6 +55,10 @@ _BLOCK_CELLS = 1 << 18
 
 class DistributionFormatError(ValueError):
     """Malformed distribution input (CSV rows, pmf tables, sample lists)."""
+
+
+class _RowFault(DistributionFormatError):
+    """A row rule's refusal, or a sum off 1: the CSV row loop words it by line."""
 
 
 def _sum_axis(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -142,7 +146,7 @@ def _symbol_array(states, empty: str) -> np.ndarray:
     if not len(states):
         raise DistributionFormatError(empty)
     if (states < 0).any():
-        raise DistributionFormatError("symbols must be nonnegative integers")
+        raise _RowFault("symbols must be nonnegative integers")
     return states
 
 
@@ -157,21 +161,17 @@ def _as_float(p, where: str = "") -> float:
 def _check_probabilities(arr: np.ndarray) -> None:
     """Refuse probabilities unless every one is finite and nonnegative."""
     if not np.isfinite(arr).all():
-        raise ValueError("probabilities must be finite")
+        raise _RowFault("probabilities must be finite")
     if (arr < 0).any():
-        raise ValueError("probabilities must be nonnegative")
+        raise _RowFault("probabilities must be nonnegative")
 
 
 def _check_sum(total: float) -> None:
     """Refuse probabilities whose sum ``total`` is not 1 within tolerance."""
     if abs(total - 1.0) > SUM_TOLERANCE:
-        raise DistributionFormatError(
+        raise _RowFault(
             f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
         )
-
-
-class _RepeatedState(DistributionFormatError):
-    """A state given twice in one table of states."""
 
 
 def _refuse_repeated_states(states: np.ndarray) -> None:
@@ -185,7 +185,7 @@ def _refuse_repeated_states(states: np.ndarray) -> None:
     repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
     if repeated.any():
         state = tuple(ordered[repeated.argmax()].tolist())
-        raise _RepeatedState(f"duplicate state {state}")
+        raise _RowFault(f"duplicate state {state}")
 
 
 def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
@@ -275,6 +275,7 @@ class JointDistribution:
             raise DistributionFormatError(
                 f"{len(states)} states but probabilities of shape {probs.shape}"
             )
+        _check_probabilities(probs)  # before the dense cap, as the row loop refuses it
         _refuse_repeated_states(states)
         sizes = tuple(int(s) + 1 for s in states.max(axis=0))
         return cls(_dense_table(states, sizes, probs))
@@ -295,6 +296,7 @@ class JointDistribution:
         sizes = []
         for j, column in enumerate(data.T):
             if data.dtype != object and (top := int(column.max())) < len(data):
+                column = column.astype(np.intp, copy=False)  # numpy would cast it at each index
                 seen = np.zeros(top + 1, dtype=bool)
                 seen[column] = True
                 rank = np.cumsum(seen) - 1  # the rank of each present symbol
@@ -414,17 +416,18 @@ def load_csv(source: Union[str, Path, IO[str]]) -> JointDistribution:
 
     Expected header ``x1,...,xn[,p]``: with a trailing ``p`` column each row
     is a state with an explicit probability, otherwise each row is one raw
-    observation.  Symbols are nonnegative integers.  Errors carry the
-    offending 1-based line number.
+    observation.  Symbols are nonnegative integers.  A row's error carries
+    its 1-based line number; a cap on the whole table carries none.
 
     A sample body whose rows are each ``n`` one-digit symbols, joined by
     ``,`` and ended by LF (the last LF optional), is read by a numpy byte
     reader.  numpy's C reader takes any other body when it can.
     Their arrays go to the constructors as they are: a p-table as one
     ``(states, probs)`` pair to :meth:`JointDistribution.from_pmf`, samples
-    to :meth:`JointDistribution.from_samples`.  A row loop reads the rest
-    (blank cells, ``1_0``, non-ASCII digits, symbols past int64) and words
-    every error, a repeated state with both of its line numbers.
+    to :meth:`JointDistribution.from_samples`, the one check of each row
+    rule.  A row loop reads the rest (blank cells, ``1_0``, non-ASCII
+    digits, symbols past int64) and any body a row rule refuses, and words
+    each row's error, a repeated state with both of its line numbers.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
@@ -464,9 +467,10 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     leaves the body to :func:`_from_rows`, the only reader that words an
     error in a row and the only one that takes what ``loadtxt`` refuses
     (blank cells, ``1_0``, non-ASCII digits, symbols past int64).  The
-    symbols, probabilities and repeated states go through the constructors'
-    own checks; this adds only what they cannot see (the row loop's field
-    limits, the sum as written).
+    constructors check every row rule before a table cap: a row fault
+    returns None for the row loop to word, and a cap refusal is raised in
+    the row loop's own words.  This adds only the row loop's field limits
+    and the sum added as written.
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
@@ -494,27 +498,17 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
         '"' in body or max(map(len, body.split("\n"))) > limit
     ):
         return None
-    # A row that breaks a rule (a negative symbol, a probability that is not
-    # finite or is negative, a repeated state) or a sum off 1 goes to the row
-    # loop, which words it.  A later refusal (too many cells or variables) is
-    # the row loop's own, word for word, so it is raised here.
     try:
-        _symbol_array(table["s"] if has_p else table, "no data rows")
-        if has_p:
-            _check_probabilities(table["p"])
-            _check_sum(sum(table["p"].tolist()))
-    except ValueError:
-        return None
-    if not has_p:
-        return JointDistribution.from_samples(table)
-    try:  # from_pmf refuses a repeated state before any other table rule
+        if not has_p:
+            return JointDistribution.from_samples(table)
+        _check_sum(sum(table["p"].tolist()))  # left to right, as the row loop adds
         return JointDistribution.from_pmf((table["s"], table["p"]))
-    except _RepeatedState:
-        return None  # the row loop words it with both line numbers
+    except _RowFault:
+        return None
 
 
 def _digits_table(body: str, nvars: int) -> np.ndarray | None:
-    """The samples in ``body`` as an int64 array, or None to leave it to ``loadtxt``.
+    """The samples in ``body`` as a uint16 array, or None to leave it to ``loadtxt``.
 
     Takes only rows of ``nvars`` one-digit symbols, joined by ``,`` and each
     ended by LF (the last LF optional): two bytes per field, read as
@@ -533,7 +527,7 @@ def _digits_table(body: str, nvars: int) -> np.ndarray | None:
     cells = pairs - expected  # a wrong byte wraps past 9
     if (cells > 9).any():
         return None
-    return cells.astype(np.int64)  # from_samples indexes by symbol: faster with intp
+    return cells
 
 
 def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDistribution:

@@ -246,27 +246,31 @@ def _theorem1_holds(n: int, selected: np.ndarray, complement: np.ndarray) -> boo
     return np.array_equal(np.sort(_dual_tables(selected, n)), np.sort(complement))
 
 
-def _pair_selections(tables: np.ndarray, n: int):
-    """Each nonempty a with each b disjoint from it (masks ``ma``, ``mb``, row-major), and per
-    pair the rows ``_cmi_tables`` selects for (a, b) and (a, (a u b)^C), packed 8 to a byte."""
+def _pair_masks(n: int):
+    """Each nonempty a with each b disjoint from it, row-major: masks ma, mb, (a u b)^C."""
     m = np.arange(1 << n, dtype=np.uint64)
     ma, mb = np.nonzero((m[:, None] & m == 0) & (m[:, None] != 0))
-    mc = ((1 << n) - 1) ^ ma ^ mb
+    return ma, mb, ((1 << n) - 1) ^ ma ^ mb
+
+
+def _pair_rows(tables: np.ndarray, n: int, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """Per pair of masks, the rows ``_cmi_tables`` selects for (a, b), packed 8 to a byte."""
     octets = tables.astype("<u8").view(np.uint8).reshape(-1, 8)  # least significant first
     # bits[m]: the rows whose table holds at m, 8 rows to a byte
     bits = np.packbits(np.unpackbits(octets, axis=1, count=1 << n, bitorder="little").T, axis=1)
-    return ma, mb, bits[ma | mb] & ~bits[mb], bits[ma | mc] & ~bits[mc]
+    return bits[ma | mb] & ~bits[mb]
 
 
 def _theorem1_sweep(tables: np.ndarray, n: int) -> tuple[int, bool]:
-    """``_theorem1_holds`` on every pair of ``_pair_selections``: (pairs, all hold).
+    """``_theorem1_holds`` on every pair of ``_pair_masks``: (pairs, all hold).
     Once dualising permutes the rows, a pair holds iff its selections agree under it."""
-    ma, _, selected, _ = _pair_selections(tables, n)
+    ma, mb, mc = _pair_masks(n)
     duals, order = _dual_tables(tables, n), np.argsort(tables)
     if not np.array_equal(np.sort(duals), tables[order]):  # the pair (all sources, none)
         return len(ma), False
     image = order[np.searchsorted(tables, duals, sorter=order)]
-    return len(ma), np.array_equal(selected, _pair_selections(tables[image], n)[3])
+    selected = _pair_rows(tables, n, ma, mb)
+    return len(ma), np.array_equal(selected, _pair_rows(tables[image], n, ma, mc))
 
 
 def verify_theorem1_sets(n: int, a: Iterable[int], b: Iterable[int] = ()) -> bool:

@@ -357,7 +357,7 @@ def test_product_of_marginals_of_copy_is_uniform():
 def test_negative_probability_rejected():
     pmf = np.full((2, 2), 0.3)
     pmf[0, 0] = -0.2
-    with pytest.raises(ValueError):
+    with pytest.raises(DistributionFormatError, match="^probabilities must be nonnegative$"):
         JointDistribution(pmf)
 
 
@@ -368,7 +368,7 @@ def test_sum_far_from_one_rejected():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_probability_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(DistributionFormatError, match="^probabilities must be finite$"):
         JointDistribution([bad, 1.0])
 
 
@@ -519,8 +519,12 @@ def test_pair_form_of_from_pmf_takes_unsigned_state_arrays(dtype):
     (np.array([[0, 0], [999_999, 999_999]]), [0.5, 0.5], "dense table"),
     (np.zeros((1, 21), dtype=np.int64), [1.0], "at most 20 variables"),
     (np.empty((1, 0), dtype=np.int64), [1.0], "at least one variable"),
+    # a row rule before the dense cap, as in the CSV row loop
+    (np.array([[0], [MAX_DENSE_CELLS]]), [math.nan, 1.0], "probabilities must be finite"),
+    (np.array([[0], [MAX_DENSE_CELLS]]), [-0.5, 1.5], "probabilities must be nonnegative"),
 ], ids=["length-mismatch", "repeated-rows", "empty", "negative", "float", "bool",
-        "dense-cap", "21-variables", "no-variables"])
+        "dense-cap", "21-variables", "no-variables", "nan-past-the-dense-cap",
+        "negative-p-past-the-dense-cap"])
 def test_pair_form_of_from_pmf_refuses_in_the_mapping_forms_words(states, probs, refusal):
     with pytest.raises(ValueError) as pair:
         JointDistribution.from_pmf((states, probs))
@@ -606,6 +610,23 @@ def test_presence_relabel_equals_the_sorted_relabel(case):
         assert (d.alphabet_sizes, d.pmf.tobytes()) == expected
 
 
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+def test_from_samples_indexes_by_intp_columns(dtype):
+    # numpy casts a non-intp index array to intp on every use, and a column
+    # relabelled by presence is used as an index twice
+    casts = []
+
+    class CastLog(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            casts.append(np.dtype(dtype))
+            return super().astype(dtype, *args, **kwargs)
+
+    data = np.array([[0, 1, 2], [1, 0, 0], [2, 1, 0], [0, 0, 1]], dtype=dtype)
+    d = JointDistribution.from_samples(data.view(CastLog))
+    assert casts == [np.dtype(np.intp)] * 3
+    assert d.pmf.tobytes() == JointDistribution.from_samples(data.tolist()).pmf.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV loader
 # ---------------------------------------------------------------------------
@@ -623,16 +644,36 @@ def test_load_csv_duplicate_state_rejected():
         _load("x1,p\n0,0.5\n1,0\n1,0.5\n")
 
 
+_WIDE = ",".join(f"x{i}" for i in range(1, 22))  # one variable past MAX_VARIABLES
+
+
 @pytest.mark.parametrize("text, refusal", [
     ("x1,p\n0,0.25\n1,0.25\n2,0.25\n0,0.25\n", "line 5: duplicate state (0,) (first at line 2)"),
     (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.25\n0,0,0.25\n",
      "line 4: duplicate state (0, 0) (first at line 2)"),
-], ids=["not-adjacent", "over-the-dense-cap"])
+    (f"x1,x2,p\n{MAX_DENSE_CELLS},0,0.5\n0,0,nan\n", "line 3: probability 'nan' is not finite"),
+    (f"x1,x2,p\n{MAX_DENSE_CELLS},0,1.5\n0,0,-0.5\n", "line 3: negative probability"),
+    (_WIDE + "\n" + ",".join("0" * 21) + "\n-1" + ",0" * 20 + "\n", "line 3: symbol -1 is negative"),
+], ids=["not-adjacent", "over-the-dense-cap", "nan-over-the-dense-cap",
+        "negative-p-over-the-dense-cap", "negative-symbol-past-the-variable-cap"])
 def test_load_csv_words_a_repeated_state_anywhere(text, refusal):
-    # the row loop reports a repeat before the dense cap; the numpy reader too
+    # the row loop reports a repeat, and every other row rule, before a
+    # table cap; the numpy reader too
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         assert _outcome(text) == (DistributionFormatError, refusal)
     assert _outcome(text) == (DistributionFormatError, refusal)
+
+
+def test_load_csv_adds_the_sum_as_written():
+    # left to right, 1.0000000009999992 and five 0.6-ulp terms round up at
+    # each step, past the tolerance; numpy's sum of the dense table does not
+    small = 0.6 * 2.0**-52
+    text = "x1,p\n5,1.0000000009999992\n" + "".join(f"{i},{small!r}\n" for i in range(5))
+    with mock.patch.object(distributions, "_from_columns", return_value=None):
+        rows_only = _outcome(text)
+    assert issubclass(rows_only[0], DistributionFormatError)
+    assert rows_only[1] == "probabilities sum to 1.0000000010000003, expected 1 within 1e-09"
+    assert _outcome(text) == rows_only
 
 
 def test_load_csv_bad_sum_rejected():
@@ -754,7 +795,6 @@ def test_numpy_reader_matches_the_row_loop(text):
     assert _outcome(text) == rows_only
 
 
-_WIDE = ",".join(f"x{i}" for i in range(1, 22))  # one variable past MAX_VARIABLES
 _EIGHT = ",".join(f"x{i}" for i in range(1, 9)) + "\n"
 
 
@@ -819,6 +859,20 @@ def test_byte_reader_leaves_other_bodies_to_loadtxt(text):
     assert _outcome(text) == rows_only
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("read by loadtxt")):
         assert _outcome(text) == (AssertionError, "read by loadtxt")
+
+
+@pytest.mark.parametrize("text, loadtxt_calls", [
+    (_BYTE_BODIES["every-digit"], 0),
+    (_LOADTXT_BODIES["multi-digit"], 1),
+    ("x1,x2,p\n0,0,0.5\n1,1,0.5\n", 1),
+], ids=["byte-samples", "loadtxt-samples", "p-table"])
+def test_numpy_reader_checks_the_symbols_once(text, loadtxt_calls):
+    # the constructors are the one check of each row rule
+    with mock.patch.object(distributions, "_symbol_array", wraps=distributions._symbol_array) as checks, \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+            mock.patch.object(distributions, "_from_rows", side_effect=AssertionError("read by rows")):
+        load_csv(io.StringIO(text))
+    assert (checks.call_count, loadtxt.call_count) == (1, loadtxt_calls)
 
 
 @pytest.mark.parametrize("limit", [0, 1])

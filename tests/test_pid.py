@@ -352,7 +352,8 @@ def test_theorem1_sweep_agrees_with_the_pair_by_pair_check(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sweep_selections_are_the_cmi_rows_of_each_pair(n):
     tables, full = pid._checked_tables(n), (1 << n) - 1
-    ma, mb, selected, complement = pid._pair_selections(tables, n)
+    ma, mb, mc = pid._pair_masks(n)
+    selected, complement = pid._pair_rows(tables, n, ma, mb), pid._pair_rows(tables, n, ma, mc)
     pairs = [(a, b) for a in range(1, 1 << n) for b in range(1 << n) if not a & b]
     assert list(zip(ma.tolist(), mb.tolist())) == pairs  # the pair loop's order
     assert selected.shape == complement.shape == (len(pairs), (len(tables) + 7) // 8)
