@@ -81,6 +81,8 @@ class NotInSpanError(ValueError):
 
 def _as_int(value, what: str) -> int:
     """``value`` as an int: numpy integers pass; bool, float and str do not."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
@@ -109,8 +111,7 @@ class EntropyExpression:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[int, Rational] | None = None):
-        if type(n) is not int:
-            n = _as_int(n, "variable count")
+        n = _as_int(n, "variable count")
         if n < 1:
             raise ValueError("an expression needs at least one variable")
         full = (1 << n) - 1
@@ -406,8 +407,7 @@ class UBasisVector:
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _as_int(self.n, "variable count"))
+        object.__setattr__(self, "n", _as_int(self.n, "variable count"))
         object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
         if len(self.c) != self.n - 1:
             raise ValueError(
@@ -455,8 +455,7 @@ def sym_skew_decompose(
 
 def span_dimensions(n: int) -> tuple[int, int]:
     """(symmetric, skew-symmetric) dimensions of the n-variable metric space."""
-    if type(n) is not int:
-        n = _as_int(n, "variable count")
+    n = _as_int(n, "variable count")
     if n < 2:
         raise ValueError("need at least two variables")
     return n // 2, (n - 1) // 2

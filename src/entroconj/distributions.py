@@ -373,23 +373,21 @@ class JointDistribution:
     def evaluate(self, expr: EntropyExpression) -> float:
         """Value in bits of a symbolic expression on this distribution.
 
-        ``math.fsum`` adds the terms exactly, so their order cannot change the
-        result and alternating sums such as ii lose no digits to cancellation.
+        Entropies come from the table once it is built, else from the named
+        marginals alone; a coefficient object shared by terms (one per subset
+        size in a metric's expansion) becomes a float once.  ``math.fsum`` adds
+        exactly: term order cannot change the result, nor ii lose digits.
         """
         if expr.n != self.n:
             raise ValueError(
                 f"expression has {expr.n} variables, distribution has {self.n}"
             )
-        terms = expr.terms
-        table = self._entropies
-        if table is None:  # sums only the marginals the expression names
-            return math.fsum(float(c) * self._entropy_bits(mask) for mask, c in terms.items())
-        # each distinct coefficient object is converted once: a metric's
-        # expansion shares one per subset size
-        distinct = {id(c): c for c in terms.values()}
-        floats = {key: float(c) for key, c in distinct.items()}
-        coeffs = np.fromiter(map(floats.__getitem__, map(id, terms.values())), float, len(terms))
-        return math.fsum((coeffs * table[np.fromiter(terms, np.intp, len(terms))]).tolist())
+        entropy = self._entropy_bits if self._entropies is None else self._entropies.item
+        floats: dict[int, float] = {}
+        return math.fsum(
+            (floats.get(id(c)) or floats.setdefault(id(c), float(c))) * entropy(mask)
+            for mask, c in expr.terms.items()
+        )
 
     def u_values(self) -> tuple[float, ...]:
         """The u_1..u_{n-1} profile in bits, from the entropy table in closed form.
@@ -452,10 +450,11 @@ def _parse_csv(handle: IO[str]) -> JointDistribution:
     nvars = len(header) - (1 if has_p else 0)
     if nvars < 1:
         raise DistributionFormatError("line 1: no variable columns")
-    body = lines.read()
+    body, header_lines = lines.read(), reader.line_num
+    del lines, reader  # four bytes a character: freed before the body is parsed
     dist = _from_columns(body, nvars, has_p)
     if dist is None:
-        dist = _from_rows(body, len(header), has_p, reader.line_num)
+        dist = _from_rows(body, len(header), has_p, header_lines)
     return dist
 
 
@@ -585,7 +584,10 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
 
     if not states:
         raise DistributionFormatError("line 2: no data rows")
-    if not has_p:
-        return JointDistribution.from_samples(states)
-    _check_sum(sum(probs))
-    return JointDistribution.from_pmf((states, np.array(probs)))
+    try:
+        if not has_p:
+            return JointDistribution.from_samples(states)
+        _check_sum(sum(probs))
+        return JointDistribution.from_pmf((states, np.array(probs)))
+    except _RowFault as exc:  # the whole table's refusal: the public type, same words
+        raise DistributionFormatError(str(exc)) from None

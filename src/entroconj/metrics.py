@@ -55,8 +55,7 @@ def metric_expression(metric: MetricLike, n: int) -> EntropyExpression:
 
 def metric_u_coefficients(metric: MetricLike, n: int) -> UBasisVector:
     """Closed-form u-basis coordinates of a metric."""
-    if type(n) is not int:
-        n = _as_int(n, "variable count")
+    n = _as_int(n, "variable count")
     if n < 2:
         raise ValueError("metrics need at least two variables")
     metric = Metric(metric)

@@ -64,9 +64,8 @@ class MonotoneBooleanFunction:
     bits: int
 
     def __post_init__(self):
-        if type(self.n) is not int or type(self.bits) is not int:
-            object.__setattr__(self, "n", _as_int(self.n, "source count"))
-            object.__setattr__(self, "bits", _as_int(self.bits, "truth table"))
+        object.__setattr__(self, "n", _as_int(self.n, "source count"))
+        object.__setattr__(self, "bits", _as_int(self.bits, "truth table"))
         _check_tables(self.bits, self.n)
 
     def value(self, mask: int) -> int:

@@ -71,9 +71,7 @@ class SpinEnsembleConfig:
 
     def __post_init__(self):
         for name in ("n", "systems_per_condition", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, _as_int(value, name))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         _check_spin_count(self.n)
         if not all(math.isfinite(x) for x in (self.beta, self.mu, self.sigma2)):
             raise ValueError("beta, mu and sigma2 must be finite")

@@ -3,7 +3,9 @@
 import csv
 import io
 import math
+import types
 import warnings
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -24,6 +26,7 @@ from entroconj import (
     u_expression,
 )
 from entroconj import distributions
+from entroconj.algebra import mutual_information_expr
 from entroconj.distributions import MAX_DENSE_CELLS
 
 from helpers import (
@@ -175,16 +178,21 @@ def test_point_mass_entropies_are_positive_zero():
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
-@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("n", [4, 10, 12])
 def test_table_evaluation_is_the_per_term_sum(n):
-    # one gather from the table and one float per distinct coefficient give
-    # the same IEEE products, so fsum gives the same float as term by term
+    # one float per distinct coefficient gives the same IEEE products, so
+    # fsum gives the same float as term by term, with or without the table
     d = random_distribution(np.random.default_rng(n), [2] * n)
-    d.u_values()
-    for name in METRIC_NAMES:
-        e = metric_expression(name, n)
-        per_term = math.fsum(float(c) * d._entropy_bits(mask) for mask, c in e.terms.items())
-        assert d.evaluate(e) == per_term, name
+    tiny = {  # 3- and 4-term expressions, as the pid decompose guard evaluates
+        "I(1,2;n)": mutual_information_expr(n, [1, 2], [n]),
+        "I(1;n|2)": mutual_information_expr(n, [1], [n], [2]),
+    }
+    for built in (False, True):
+        if built:
+            d.u_values()
+        for name, e in [*tiny.items(), *((m, metric_expression(m, n)) for m in METRIC_NAMES)]:
+            per_term = math.fsum(float(c) * d._entropy_bits(mask) for mask, c in e.terms.items())
+            assert d.evaluate(e) == per_term, (name, built)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +679,33 @@ def test_load_csv_adds_the_sum_as_written():
     text = "x1,p\n5,1.0000000009999992\n" + "".join(f"{i},{small!r}\n" for i in range(5))
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
-    assert issubclass(rows_only[0], DistributionFormatError)
+    assert rows_only[0] is DistributionFormatError
     assert rows_only[1] == "probabilities sum to 1.0000000010000003, expected 1 within 1e-09"
     assert _outcome(text) == rows_only
+
+
+def test_load_csv_frees_the_header_buffer_before_the_body_is_parsed():
+    # the header reader's StringIO holds four bytes a character, a copy of
+    # the whole text: none may be alive while a reader parses the body
+    made = []
+
+    def recording(*args, **kwargs):
+        buffer = io.StringIO(*args, **kwargs)
+        made.append(weakref.ref(buffer))
+        return buffer
+
+    alive_at_entry = []
+    from_columns = distributions._from_columns
+
+    def entered(*args):
+        alive_at_entry.append(sum(ref() is not None for ref in made))
+        return from_columns(*args)
+
+    with mock.patch.object(distributions, "io", types.SimpleNamespace(StringIO=recording)), \
+            mock.patch.object(distributions, "_from_columns", entered):
+        d = load_csv(io.StringIO("x1,x2\n0,1\n1,0\n"))
+    assert d.alphabet_sizes == (2, 2)
+    assert made and alive_at_entry == [0]
 
 
 def test_load_csv_bad_sum_rejected():
