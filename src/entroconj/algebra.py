@@ -118,8 +118,7 @@ class EntropyExpression:
         canonical: dict[int, Fraction] = {}
         if terms:
             for mask, coeff in terms.items():
-                if type(mask) is not int:
-                    mask = _as_int(mask, "subset mask")
+                mask = _as_int(mask, "subset mask")
                 if not 0 <= mask <= full:
                     raise ValueError(f"subset mask {mask} outside 0..{full}")
                 c = coeff if type(coeff) is Fraction else Fraction(coeff)
@@ -183,6 +182,8 @@ class EntropyExpression:
         return _expression(self.n, merged)
 
     def __sub__(self, other: "EntropyExpression") -> "EntropyExpression":
+        if not isinstance(other, EntropyExpression):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "EntropyExpression":

@@ -513,8 +513,6 @@ def _digits_table(body: str, nvars: int) -> np.ndarray | None:
     ended by LF (the last LF optional): two bytes per field, read as
     little-endian pairs of a digit and its separator.
     """
-    if body[2 * nvars - 1 : 2 * nvars] not in ("\n", ""):
-        return None  # the first row is not one digit a field: no need to count the rows
     if not body.endswith("\n"):
         body += "\n"
     rows = body.count("\n")

@@ -99,15 +99,12 @@ def _check_tables(tables, n: int) -> None:
     """The constructor's checks on one packed table (a Python int) or, at
     once, on a uint64 array of them; the messages are the constructor's."""
     _check_table_sources(n)
-    # an int's rules give bools, an array's give bool arrays; np.any would
-    # take both, but its dispatch costs more than the rules on a few atoms
-    fault = bool if isinstance(tables, int) else np.ndarray.any
     full = (1 << (1 << n)) - 1
-    if fault((tables < 0) | (tables > full)):
+    if np.any((tables < 0) | (tables > full)):
         raise ValueError("truth table does not fit the source count")
-    if fault((tables == 0) | (tables == full)):
+    if np.any((tables == 0) | (tables == full)):
         raise ValueError("constant functions are not atoms")
-    if fault(_one_below(tables, n) & ~tables != 0):
+    if np.any(_one_below(tables, n) & ~tables != 0):
         raise ValueError("truth table is not monotone")
 
 
@@ -131,7 +128,6 @@ def _atom_tables(n: int) -> np.ndarray:
     over k sources.  Row-major ``np.nonzero`` over the sorted (f0, f1) grid
     keeps lexicographic ``table()`` order: the constants are first and last.
     """
-    n = _as_int(n, "source count")
     if not 1 <= n <= MAX_ENUM_SOURCES:
         raise ValueError(f"source count {n} outside 1..{MAX_ENUM_SOURCES}")
     tables = np.array([0, 1], dtype=np.uint64)

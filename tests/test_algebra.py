@@ -222,6 +222,16 @@ def test_expression_dunders_and_guards():
             EntropyExpression(n)
 
 
+def test_operators_refuse_non_expressions_in_their_own_words():
+    e = entropy_term(2, [1])
+    assert (e == 0) is False and (e != 0) is True
+    for operation, operator in [
+        (lambda: e + 1, "+"), (lambda: 1 + e, "+"), (lambda: e - 1, "-"), (lambda: e - "x", "-"),
+    ]:
+        with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{operator}:"):
+            operation()
+
+
 def test_shared_coefficient_edge_cases():
     e = metric_expression("ii", 5) + entropy_term(5, [1])
     assert e + (-e) == EntropyExpression(5)

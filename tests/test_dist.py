@@ -872,6 +872,11 @@ _LOADTXT_BODIES = {
     "ragged-one-digit": "x1,x2\n0,1,2\n3\n",  # two bytes a field, but not a row's
     "semicolon": "x1,x2\n0;1\n1,0\n",
     "colon": "x1,x2\n:,1\n1,0\n",  # the byte after 9
+    # a quoted line break stays in its field, for loadtxt as for csv
+    "quoted-line-break": 'x1,x2\n"1\n2",0\n1,0\n',
+    "quoted-final-line-break": 'x1,x2\n"1\n",0\n1,0\n',
+    "p-table-quoted-line-break": 'x1,p\n"1\n0",0.5\n1,0.5\n',
+    "p-table-quoted-final-line-break": 'x1,p\n0,"0.5\n"\n1,0.5\n',
 }
 
 
@@ -891,6 +896,12 @@ def test_byte_reader_leaves_other_bodies_to_loadtxt(text):
     assert _outcome(text) == rows_only
     with mock.patch.object(np, "loadtxt", side_effect=AssertionError("read by loadtxt")):
         assert _outcome(text) == (AssertionError, "read by loadtxt")
+
+
+def test_load_csv_keeps_a_quoted_line_break_in_its_field():
+    with pytest.raises(DistributionFormatError, match=r"^line 2: symbol '1\\n2' is not an integer$"):
+        _load(_LOADTXT_BODIES["quoted-line-break"])
+    assert _load(_LOADTXT_BODIES["quoted-final-line-break"]).pmf.tobytes() == np.ones((1, 1)).tobytes()
 
 
 @pytest.mark.parametrize("text, loadtxt_calls", [
