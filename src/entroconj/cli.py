@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from itertools import compress
 from pathlib import Path
 
 import click
@@ -33,6 +34,7 @@ from .algebra import (
 from .distributions import JointDistribution, load_csv
 from .metrics import METRIC_NAMES, metric_expression
 from .pid import (
+    _bit_matrix,
     _checked_tables,
     _cmi_tables,
     _minimal_sets,
@@ -122,16 +124,6 @@ def _parse_index_list(text: str, what: str) -> list:
     return value
 
 
-def _bit_bytes(packed: np.ndarray, positions, zero: int = 0) -> bytes:
-    """Bit m of each packed table, for each m in ``positions``, row by row,
-    as the byte ``zero`` + bit.  Bytes, unlike nested lists, hold no objects
-    for the garbage collector to count."""
-    bits = packed[:, None] >> np.array(positions, dtype=packed.dtype)
-    bits &= 1
-    bits |= zero
-    return bits.astype(np.uint8).tobytes()
-
-
 def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
     """Print the atoms of a nonempty uint64 array of packed tables exactly as
     ``_echo_json`` prints {"antichain": bf_to_antichain(f), "table": f.table()}
@@ -142,8 +134,7 @@ def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
     line = _MEMBER_LINES.__getitem__
     lists = ["      [\n" + ",\n".join(map(line, mask_members(m))) + "\n      ]" for m in order]
     lists = np.array(lists + [",\n" + text for text in lists], dtype=object)
-    picks = np.frombuffer(_bit_bytes(_minimal_sets(tables, n), order), dtype=np.uint8)
-    rows, cols = np.nonzero(picks.reshape(len(tables), -1))  # atom by atom
+    rows, cols = np.nonzero(_bit_matrix(_minimal_sets(tables, n), n)[:, order])  # atom by atom
     later = np.append(False, rows[1:] == rows[:-1])  # not its atom's first pick
     # per atom: a head (closing the one before), its picks, the "table" key, table() and the rest
     ends = np.arange(3, 4 * len(tables), 4) + np.cumsum(np.bincount(rows))
@@ -153,8 +144,8 @@ def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
     texts[4 * rows + 1 + np.arange(len(rows))] = lists[cols + later * len(order)]
     texts[ends - 2] = '\n    ],\n    "table": "'
     # table() puts the bit of position m at index m
-    table = _bit_bytes(tables, range(1 << n), ord("0"))
-    texts[ends - 1] = np.frombuffer(table, f"S{1 << n}").astype(str)
+    digits = _bit_matrix(tables, n) + ord("0")
+    texts[ends - 1] = digits.view(f"S{1 << n}").ravel().astype(str)
     texts[ends] = '"' if values is None else [f'",\n    "value": {json.dumps(v)}' for v in values]
     click.echo("".join(texts), file=sys.stdout)
 
@@ -299,18 +290,20 @@ def pid_decompose(ctx, dist_file):
     with _refusing():
         values = reference_pid(dist)
     nsources = dist.n - 1
+    tables, atom_values = _packed(values), list(values.values())
+    bits = _bit_matrix(tables, nsources)
     dist.u_values()  # fills the entropy table: the guard reads every source set
     # consistency guard: cumulative sums must rebuild every I(X^a ; Y)
     for mask in range(1, 1 << nsources):
         members = list(mask_members(mask))
-        total = sum(v for f, v in values.items() if f.value(mask))
+        total = sum(compress(atom_values, bits[:, mask].tolist()))
         expected = dist.conditional_mutual_information(members, (dist.n,))
         if abs(total - expected) > _DECOMPOSE_TOLERANCE:
             _fail(
                 EXIT_DOMAIN_ERROR,
                 f"decomposition inconsistent on {members}: {total} vs {expected}",
             )
-    _echo_atoms(nsources, _packed(values), [v * scale for v in values.values()])
+    _echo_atoms(nsources, tables, [v * scale for v in atom_values])
 
 
 @main.command()

@@ -248,11 +248,16 @@ def _pair_masks(n: int):
     return ma, mb, ((1 << n) - 1) ^ ma ^ mb
 
 
+def _bit_matrix(tables: np.ndarray, n: int) -> np.ndarray:
+    """The uint8 matrix of a uint64 table array's bits: row i, column m holds
+    bit m of table i, that is f(m)."""
+    octets = tables.astype("<u8").view(np.uint8).reshape(-1, 8)  # least significant first
+    return np.unpackbits(octets, axis=1, count=1 << n, bitorder="little")
+
+
 def _pair_rows(tables: np.ndarray, n: int, ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     """Per pair of masks, the rows ``_cmi_tables`` selects for (a, b), packed 8 to a byte."""
-    octets = tables.astype("<u8").view(np.uint8).reshape(-1, 8)  # least significant first
-    # bits[m]: the rows whose table holds at m, 8 rows to a byte
-    bits = np.packbits(np.unpackbits(octets, axis=1, count=1 << n, bitorder="little").T, axis=1)
+    bits = np.packbits(_bit_matrix(tables, n).T, axis=1)  # bits[m]: the rows whose table holds at m
     return bits[ma | mb] & ~bits[mb]
 
 
@@ -331,9 +336,8 @@ def reference_pid(dist: JointDistribution) -> dict[MonotoneBooleanFunction, floa
     atoms = enumerate_atoms(m)
     tables = _packed(atoms)
     # row s - 1 for source-set mask s: every nonempty set is the one minimal set of some atom
-    masks = np.arange(1, 1 << m, dtype=np.uint64)
-    specific = np.array([_specific_information_bits(dist, mask_members(s)) for s in masks.tolist()])
-    minimal = _minimal_sets(tables, m)[:, None] >> masks & 1 == 1
+    specific = np.array([_specific_information_bits(dist, mask_members(s)) for s in range(1, 1 << m)])
+    minimal = _bit_matrix(_minimal_sets(tables, m), m)[:, 1:] == 1
     redundancy = (p_y * np.where(minimal[:, :, None], specific, np.inf).min(axis=1)).sum(axis=1)
     # most ones first, so every strictly more accessible atom is valued before
     order = np.lexsort((tables, -np.bitwise_count(tables).astype(np.intp)))

@@ -551,6 +551,91 @@ def pid_conjugate_check(dist: JointDistribution, a, b=()) -> tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
+# linear codes and the reversed entropy table: exact and second-path oracles
+# for conjugation on data
+# ---------------------------------------------------------------------------
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of a 0/1 matrix, one row at a time against a pivot per leading bit."""
+    pivots: dict[int, int] = {}
+    for row in np.asarray(rows, dtype=np.uint8).tolist():
+        v = sum(bit << i for i, bit in enumerate(row))
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def random_generator(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """A k x n binary generator matrix of full rank k, drawn until one is."""
+    while True:
+        g = rng.integers(0, 2, size=(k, n), dtype=np.uint8)
+        if gf2_rank(g) == k:
+            return g
+
+
+def codewords(g: np.ndarray) -> np.ndarray:
+    """Every codeword of the code that the rows of ``g`` span, one row each."""
+    messages = np.array(list(product((0, 1), repeat=len(g))), dtype=np.int64)
+    return (messages @ g) % 2
+
+
+def dual_basis(g: np.ndarray) -> np.ndarray:
+    """A basis of the dual code: n - rank rows h with g h^T = 0 over GF(2).
+
+    Row-reduces ``g``; each free column c gives the null vector with a one
+    at c and, at the pivot of each reduced row, that row's entry at c.
+    """
+    m = np.array(g, dtype=np.uint8) % 2
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        hit = next((r for r in range(len(pivots), len(m)) if m[r, col]), None)
+        if hit is None:
+            continue
+        row = len(pivots)
+        m[[row, hit]] = m[[hit, row]]
+        for r in range(len(m)):
+            if r != row and m[r, col]:
+                m[r] ^= m[row]
+        pivots.append(col)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=np.uint8)
+    for i, c in enumerate(free):
+        basis[i, c] = 1
+        for r, p in enumerate(pivots):
+            basis[i, p] = m[r, c]
+    return basis
+
+
+def rank_table(g: np.ndarray) -> list[int]:
+    """GF(2) rank of the columns of ``g`` in each source-subset mask: the
+    entropy table, in bits, of the uniform distribution on the code."""
+    n = g.shape[1]
+    return [gf2_rank(g[:, [i for i in range(n) if (mask >> i) & 1]]) for mask in range(1 << n)]
+
+
+def exact_value(e: EntropyExpression, table) -> Fraction:
+    """e on an integer (or Fraction) entropy table, exactly."""
+    return sum((c * table[mask] for mask, c in e.terms.items()), Fraction(0))
+
+
+def table_value(e: EntropyExpression, table) -> float:
+    """e on a float entropy table, summed as ``JointDistribution.evaluate`` sums."""
+    return math.fsum(float(c) * float(table[mask]) for mask, c in e.terms.items())
+
+
+def reversed_table(d: JointDistribution) -> np.ndarray:
+    """H*[m] = H[full ^ m] - H[full]: the entropy table of the conjugate,
+    on which every expression e reads ``evaluate(conjugate(e))``."""
+    table = d._entropy_table()
+    return table[::-1] - table[-1]
+
+
+# ---------------------------------------------------------------------------
 # input strategies
 # ---------------------------------------------------------------------------
 
