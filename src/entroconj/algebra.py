@@ -24,7 +24,7 @@ the definitional pair average is the tests' oracle ``definitional_u_expression``
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -239,9 +239,13 @@ def conjugate(e: EntropyExpression) -> EntropyExpression:
     out = {full ^ mask: c for mask, c in e._terms.items()}
     out.pop(0, None)  # the full set's image: H() = 0
     # minus the sum of every coefficient, as one integer sum over a common
-    # denominator instead of a gcd per Fraction addition
-    den = lcm(*(c.denominator for c in e._terms.values()))
-    total = -sum(c.numerator * (den // c.denominator) for c in e._terms.values())
+    # denominator instead of a gcd per Fraction addition; each coefficient
+    # object is read once, times the number of terms that share it
+    values = e._terms.values()
+    counts = Counter(map(id, values))
+    distinct = dict(zip(map(id, values), values)).values()
+    den = lcm(*(c.denominator for c in distinct))
+    total = -sum(c.numerator * (den // c.denominator) * counts[id(c)] for c in distinct)
     if total:
         out[full] = Fraction(total, den)
     return _expression(e.n, out)

@@ -11,6 +11,7 @@ an expression outside the u-basis span.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -64,6 +65,27 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _echo(text: str) -> None:
+    """Print a report on stdout. No report holds an ANSI code (json.dumps
+    escapes ESC; the writers print digits, signs and JSON punctuation), so
+    color=True only spares click's strip_ansi scan of the text."""
+    click.echo(text, file=sys.stdout, color=True)
+
+
+@contextmanager
+def _gc_paused():
+    """Hold the cyclic collector off for one command: its parse trees and
+    reports hold no cycles, so a collection would only walk them. The
+    caller's collector state comes back on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @contextmanager
 def _refusing(code: int = EXIT_INPUT_ERROR, errors: type[Exception] = ValueError, prefix: str = ""):
     """Refuse the job when the block raises one of ``errors``: print
@@ -75,7 +97,7 @@ def _refusing(code: int = EXIT_INPUT_ERROR, errors: type[Exception] = ValueError
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2), file=sys.stdout)
+    _echo(json.dumps(obj, indent=2))
 
 
 # line i is member i of a subset as both renderers print it, 8 spaces deep;
@@ -147,7 +169,7 @@ def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
     digits = _bit_matrix(tables, n) + ord("0")
     texts[ends - 1] = digits.view(f"S{1 << n}").ravel().astype(str)
     texts[ends] = '"' if values is None else [f'",\n    "value": {json.dumps(v)}' for v in values]
-    click.echo("".join(texts), file=sys.stdout)
+    _echo("".join(texts))
 
 
 @click.group()
@@ -162,6 +184,7 @@ def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
 @click.pass_context
 def main(ctx, log_base):
     """High-order interdependence toolkit."""
+    ctx.with_resource(_gc_paused())
     ctx.ensure_object(dict)
     # the library computes in bits; this converts every reported value
     ctx.obj["scale"] = 1.0 if log_base == "2" else math.log(2.0)
@@ -197,7 +220,7 @@ def conjugate_cmd(expr_file):
     expr = _read_expression(expr_file)
     with _refusing(EXIT_DOMAIN_ERROR):  # a summed coefficient past the int -> str digit limit
         text = _expression_text(expression_to_json(conjugate_expression(expr)))
-    click.echo(text, file=sys.stdout)
+    _echo(text)
 
 
 @main.command("basis")

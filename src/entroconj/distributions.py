@@ -206,6 +206,21 @@ def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.
     return np.bincount(flat, weights, minlength=cells).reshape(sizes)
 
 
+def _walk_entropies(table: np.ndarray, marginal: np.ndarray, mask: int, low: int) -> None:
+    """Fill ``table`` at ``mask`` and at every subset the walk of
+    :meth:`JointDistribution._entropy_table` reaches from it.  A module
+    function, not a closure that names itself, so a finished table is freed
+    by reference counting alone."""
+    # variables 0..low-1 are all kept, so variable j is axis j
+    shape = marginal.shape
+    if prod(k + 1 for k in shape[:low]) * prod(shape[low:]) <= _BLOCK_CELLS:
+        table[mask + 1 - (1 << low) : mask + 1] = _block_entropies(marginal, low)
+        return
+    table[mask] = _block_entropies(marginal, 0)[0]
+    for j in range(low):
+        _walk_entropies(table, _sum_axis(marginal, j), mask ^ (1 << j), j)
+
+
 class JointDistribution:
     """Probability mass function over a finite product alphabet.
 
@@ -329,18 +344,7 @@ class JointDistribution:
         if table is not None:
             return table
         table = np.empty(1 << self.n)
-
-        def visit(marginal: np.ndarray, mask: int, low: int) -> None:
-            # variables 0..low-1 are all kept, so variable j is axis j
-            shape = marginal.shape
-            if prod(k + 1 for k in shape[:low]) * prod(shape[low:]) <= _BLOCK_CELLS:
-                table[mask + 1 - (1 << low) : mask + 1] = _block_entropies(marginal, low)
-                return
-            table[mask] = _block_entropies(marginal, 0)[0]
-            for j in range(low):
-                visit(_sum_axis(marginal, j), mask ^ (1 << j), j)
-
-        visit(self._pmf, (1 << self.n) - 1, self.n)
+        _walk_entropies(table, self._pmf, (1 << self.n) - 1, self.n)
         table[0] = 0.0
         table.flags.writeable = False
         object.__setattr__(self, "_entropies", table)

@@ -45,6 +45,7 @@ from helpers import (
     oracle_is_label_symmetric,
     oracle_scale,
     oracle_sum,
+    random_expression,
     rational_rank,
     u_inner_product,
 )
@@ -303,6 +304,28 @@ def test_conjugate_full_set_sum_is_the_fraction_sum_on_random_terms(n, terms):
     e = EntropyExpression(n, {mask & full: c for mask, c in terms})
     expected = _full_set_coefficient_by_fraction_sums(e)
     assert conjugate(e).terms.get(full, Fraction(0)) == expected
+
+
+def _shared_coefficient_inputs():
+    n = 6
+    masks = range(1, 1 << n)
+    # equal values, each its own object: one group per object, not per value
+    yield EntropyExpression(n, {m: Fraction(3, 7) for m in masks})
+    one = Fraction(-5, 11)  # one object under every term: a group of 63
+    yield EntropyExpression(n, {m: one for m in masks})
+    # a few objects, each shared by some terms, and a run of distinct ones
+    rng = np.random.default_rng(20)
+    pool = [Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 13))) for _ in range(5)]
+    for _ in range(20):
+        shared = {int(m): pool[int(rng.integers(len(pool)))] for m in rng.integers(1, 1 << n, 30)}
+        yield EntropyExpression(n, {**shared, **random_expression(rng, n, 8).terms})
+
+
+def test_conjugate_full_set_sum_counts_each_term_of_a_shared_coefficient():
+    for e in _shared_coefficient_inputs():
+        full = (1 << e.n) - 1
+        assert conjugate(e).terms.get(full, Fraction(0)) == _full_set_coefficient_by_fraction_sums(e)
+        assert conjugate(e) == oracle_conjugate(e)
 
 
 def test_conjugate_oinfo_flips_sign():

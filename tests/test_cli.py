@@ -13,6 +13,7 @@ import weakref
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -679,6 +680,81 @@ def test_redirected_output_streams_are_released(args, code):
     assert stderr.startswith("error:") == (code != 0)
     gc.collect()
     assert out_ref() is None and err_ref() is None
+
+
+# a command that prints, one that refuses (exit 2) and one that click refuses
+# as a usage error after the group callback has run
+GC_JOBS = [
+    (["pid", "list-atoms", "--n", "2"], 0),
+    (["pid", "verify-theorem1", "--n", "0"], 2),
+    (["pid", "list-atoms", "--no-such-option"], 2),
+]
+
+
+def test_commands_run_with_the_collector_paused(runner, tmp_path, monkeypatch):
+    path = tmp_path / "xor.csv"
+    path.write_text(XOR_CSV)
+    states = []
+    echo = cli._echo
+    monkeypatch.setattr(cli, "_echo", lambda text: (states.append(gc.isenabled()), echo(text)))
+    jobs = [["pid", "list-atoms", "--n", "2"], ["metrics", str(path)], ["--log-base", "e", "pid", "decompose", str(path)]]
+    for args in jobs:
+        assert invoke(runner, args).exit_code == 0
+    assert states == [False, False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("args, code", GC_JOBS, ids=[" ".join(job[0]) for job in GC_JOBS])
+def test_each_exit_gives_the_caller_its_collector_state(runner, args, code):
+    assert gc.isenabled()
+    assert runner.invoke(main, args).exit_code == code
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert runner.invoke(main, args).exit_code == code
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_spinlab_leaves_no_cycles_per_system(tmp_path):
+    # each Boltzmann table must be freed as it is dropped: under the paused
+    # collector a table in a reference cycle would live to the command's end
+    def leftover(count):
+        gc.collect()
+        args = ["spinlab", "--n", "4", "--count", str(count), "--out", str(tmp_path / f"c{count}")]
+        assert _run_redirected(args)[0] == 0
+        return gc.collect()
+
+    leftover(1)  # first-use imports and caches
+    assert leftover(1) == leftover(4)
+
+
+def _raise(text):
+    raise AssertionError("strip_ansi called")
+
+
+def test_reports_skip_the_ansi_scan_and_print_the_same_bytes(runner, tmp_path, monkeypatch):
+    csv_path = tmp_path / "xor.csv"
+    csv_path.write_text(XOR_CSV)
+    expr = _write_expr(tmp_path, "tse.json", metric_expression("tse", 5))
+    jobs = [
+        ["conjugate", str(expr)],
+        ["basis", str(expr)],
+        ["pid", "cmi-set", "--n", "3", "--a", "[1]", "--b", "[2]"],
+        ["metrics", str(csv_path)],
+    ]
+    # what click printed when it scanned: the text with its ANSI codes stripped
+    scanned = []
+    for args in jobs:
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        scanned.append(click.utils.strip_ansi(result.stdout))
+    monkeypatch.setattr(click.utils, "strip_ansi", _raise)
+    for args, text in zip(jobs, scanned):
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == text.encode()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for joint distributions and plug-in evaluation."""
 
 import csv
+import gc
 import io
 import math
 import types
@@ -157,6 +158,23 @@ def test_on_demand_marginals_equal_the_table_entries_across_blocks():
     d = random_distribution(np.random.default_rng(18), [2] * n)
     on_demand, table = _on_demand_and_table(d)
     assert on_demand == table
+
+
+@pytest.mark.parametrize("n", [3, _block_boundary()], ids=["one-block", "walked"])
+def test_a_dropped_table_is_freed_without_the_collector(n):
+    # the CLI pauses the cyclic collector for a whole command, so a table
+    # must not sit in a reference cycle that outlives its distribution
+    d = random_distribution(np.random.default_rng(21), [2] * n)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = weakref.ref(d._entropy_table())
+        del d
+        freed = table() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert freed
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
