@@ -73,20 +73,6 @@ def _echo(text: str) -> None:
 
 
 @contextmanager
-def _gc_paused():
-    """Hold the cyclic collector off for one command: its parse trees and
-    reports hold no cycles, so a collection would only walk them. The
-    caller's collector state comes back on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@contextmanager
 def _refusing(code: int = EXIT_INPUT_ERROR, errors: type[Exception] = ValueError, prefix: str = ""):
     """Refuse the job when the block raises one of ``errors``: print
     ``error: {prefix}{exc}`` and exit with ``code``."""
@@ -131,15 +117,24 @@ def _load_distribution(handle) -> JointDistribution:
         return load_csv(handle)
 
 
+def _load_json(text: str):
+    """``json.loads(text)``, refusing nesting too deep for the parser as
+    malformed input (a ValueError) instead of ending in a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("nested too deeply to parse") from None
+
+
 def _read_expression(handle):
     with _refusing(prefix="bad expression JSON: "):
-        return expression_from_json(json.loads(handle.read()))
+        return expression_from_json(_load_json(handle.read()))
 
 
 def _parse_index_list(text: str, what: str) -> list:
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError:
+        value = _load_json(text)
+    except ValueError:
         value = None
     if not isinstance(value, list):
         _fail(EXIT_INPUT_ERROR, f"{what} must be a JSON list of integers, got {text!r}")
@@ -184,7 +179,11 @@ def _echo_atoms(n: int, tables: np.ndarray, values=None) -> None:
 @click.pass_context
 def main(ctx, log_base):
     """High-order interdependence toolkit."""
-    ctx.with_resource(_gc_paused())
+    # no parse tree or report holds a cycle, so a collection would only walk
+    # them; closing the context gives the caller its collector back on every exit
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
     ctx.ensure_object(dict)
     # the library computes in bits; this converts every reported value
     ctx.obj["scale"] = 1.0 if log_base == "2" else math.log(2.0)
@@ -264,7 +263,7 @@ def pid_list_atoms(n):
 def pid_dual(n, antichain_text):
     """Dual of an atom given as an antichain of source sets."""
     with _refusing(prefix="bad antichain: "):
-        atom = antichain_to_bf(json.loads(antichain_text), n)
+        atom = antichain_to_bf(_load_json(antichain_text), n)
     f = dual(atom)
     _echo_json({"antichain": bf_to_antichain(f), "table": f.table()})
 
@@ -336,6 +335,7 @@ def pid_decompose(ctx, dist_file):
 @click.option("--sigma2", type=float, default=_PUBLISHED_RUN.sigma2, show_default=True)
 @click.option(
     "--count",
+    "systems_per_condition",
     type=int,
     default=_PUBLISHED_RUN.systems_per_condition,
     show_default=True,
@@ -343,17 +343,10 @@ def pid_decompose(ctx, dist_file):
 )
 @click.option("--seed", type=int, default=_PUBLISHED_RUN.seed, show_default=True)
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), required=True)
-def spinlab(n, beta, mu, sigma2, count, seed, out):
+def spinlab(out, **fields):
     """Run the spin-ensemble experiment and write its data files."""
     with _refusing():
-        config = SpinEnsembleConfig(
-            n=n,
-            beta=beta,
-            mu=mu,
-            sigma2=sigma2,
-            systems_per_condition=count,
-            seed=seed,
-        )
+        config = SpinEnsembleConfig(**fields)
     # refused when beta * energy overflows
     with _refusing(EXIT_DOMAIN_ERROR, prefix="cannot build the Boltzmann distributions: "):
         ensemble, pca_result = run_experiment(config)

@@ -234,9 +234,9 @@ class JointDistribution:
     def __init__(self, pmf):
         arr = np.array(pmf, dtype=float)
         if arr.ndim < 1:
-            raise ValueError("a distribution needs at least one variable")
+            raise DistributionFormatError("a distribution needs at least one variable")
         if arr.ndim > MAX_VARIABLES:
-            raise ValueError(f"at most {MAX_VARIABLES} variables are supported")
+            raise DistributionFormatError(f"at most {MAX_VARIABLES} variables are supported")
         _check_probabilities(arr)
         total = float(arr.sum())
         _check_sum(total)

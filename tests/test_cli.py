@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -795,6 +796,14 @@ def test_spinlab_rejects_a_negative_seed_before_writing(runner, tmp_path):
     assert not out.exists()
 
 
+def test_spinlab_options_are_the_config_fields():
+    options = [param for param in cli.spinlab.params if param.name != "out"]
+    names = [field.name for field in dataclasses.fields(SpinEnsembleConfig)]
+    assert [param.name for param in options] == names
+    published = SpinEnsembleConfig()
+    assert [param.default for param in options] == [getattr(published, name) for name in names]
+
+
 def test_spinlab_defaults_are_the_published_run(runner, tmp_path):
     out = tmp_path / "run"
     assert invoke(runner, ["spinlab", "--out", str(out)]).exit_code == 0
@@ -881,6 +890,31 @@ def test_dual_refuses_an_antichain_that_is_not_a_sequence_of_sets(runner, antich
     result = invoke(runner, ["pid", "dual", "--n", "3", "--antichain", antichain])
     assert result.exit_code == 2
     assert result.stderr == "error: bad antichain: antichain must be a sequence of source sets\n"
+    assert result.stdout == ""
+
+
+# deeper than the JSON parser's recursion limit
+DEEP = "[" * 3000
+DEEP_JSON = [
+    ["conjugate", "deep.json"],
+    ["basis", "deep.json"],
+    ["classify", "deep.json"],
+    ["pid", "cmi-set", "--n", "3", "--a", DEEP],
+    ["pid", "cmi-set", "--n", "3", "--a", "[1]", "--b", DEEP],
+    ["pid", "verify-theorem1", "--n", "3", "--a", DEEP],
+    ["pid", "verify-theorem1", "--n", "3", "--a", "[1]", "--b", DEEP],
+    ["pid", "dual", "--n", "3", "--antichain", DEEP],
+]
+
+
+@pytest.mark.parametrize("args", DEEP_JSON, ids=[" ".join(a[:-1]) for a in DEEP_JSON])
+def test_json_nested_too_deeply_is_an_input_error(runner, args):
+    with runner.isolated_filesystem():
+        Path("deep.json").write_text("[" * 200_000)
+        result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
 

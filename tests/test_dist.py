@@ -552,7 +552,7 @@ def test_pair_form_of_from_pmf_takes_unsigned_state_arrays(dtype):
         "dense-cap", "21-variables", "no-variables", "nan-past-the-dense-cap",
         "negative-p-past-the-dense-cap"])
 def test_pair_form_of_from_pmf_refuses_in_the_mapping_forms_words(states, probs, refusal):
-    with pytest.raises(ValueError) as pair:
+    with pytest.raises(DistributionFormatError) as pair:
         JointDistribution.from_pmf((states, probs))
     assert refusal in str(pair.value)
     mapping = dict(zip(map(tuple, states), probs))
@@ -862,7 +862,7 @@ def test_numpy_reader_refuses_an_oversized_table_itself(text, refusal):
     # word, so the numpy reader raises it without reading the body again
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
-    assert refusal in rows_only[1]
+    assert rows_only[0] is DistributionFormatError and refusal in rows_only[1]
     with mock.patch.object(distributions, "_from_rows", side_effect=AssertionError("read twice")):
         assert _outcome(text) == rows_only
 

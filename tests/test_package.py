@@ -58,6 +58,26 @@ def test_every_click_echo_names_its_stream():
     assert unnamed == []
 
 
+def test_every_cli_json_parse_goes_through_the_depth_guard():
+    # a bare json.loads ends in a RecursionError traceback on deeply nested input
+    tree = ast.parse((Path(entroconj.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8"))
+    (helper,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_load_json"]
+    guarded = set(map(id, ast.walk(helper)))
+    bare = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            bare.append(node.lineno)  # `from json import loads` would hide the call
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "loads"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            and id(node) not in guarded
+        ):
+            bare.append(node.lineno)
+    assert bare == []
+
+
 def _leading_literal(comment: str):
     """The Python literal a result comment starts with: ``(4, 3), exact`` -> (4, 3)."""
     words = comment.split(" ")
