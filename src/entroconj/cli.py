@@ -60,11 +60,6 @@ _PUBLISHED_RUN = SpinEnsembleConfig()
 # Every echo names its stream: without file=, click caches the current
 # sys.stdout/sys.stderr in a WeakKeyDictionary whose value is the stream
 # itself, so each redirected stream of an in-process run would live forever.
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", file=sys.stderr)
-    sys.exit(code)
-
-
 def _echo(text: str) -> None:
     """Print a report on stdout. No report holds an ANSI code (json.dumps
     escapes ESC; the writers print digits, signs and JSON punctuation), so
@@ -75,11 +70,12 @@ def _echo(text: str) -> None:
 @contextmanager
 def _refusing(code: int = EXIT_INPUT_ERROR, errors: type[Exception] = ValueError, prefix: str = ""):
     """Refuse the job when the block raises one of ``errors``: print
-    ``error: {prefix}{exc}`` and exit with ``code``."""
+    ``error: {prefix}{exc}`` and exit with ``code``.  The CLI's one exit path."""
     try:
         yield
     except errors as exc:
-        _fail(code, f"{prefix}{exc}")
+        click.echo(f"error: {prefix}{exc}", file=sys.stderr)
+        sys.exit(code)
 
 
 def _echo_json(obj) -> None:
@@ -137,7 +133,7 @@ def _parse_index_list(text: str, what: str) -> list:
     except ValueError:
         value = None
     if not isinstance(value, list):
-        _fail(EXIT_INPUT_ERROR, f"{what} must be a JSON list of integers, got {text!r}")
+        raise ValueError(f"{what} must be a JSON list of integers, got {text!r}")
     return value
 
 
@@ -296,8 +292,8 @@ def pid_verify_theorem1(n, a_text, b_text):
             b = _parse_index_list("[]" if b_text is None else b_text, "--b")
             _echo_json({"n": n, "a": a, "b": b, "holds": verify_theorem1_sets(n, a, b)})
             return
-    if b_text is not None:
-        _fail(EXIT_INPUT_ERROR, "--b needs --a; omit both to check every pair")
+        if b_text is not None:
+            raise ValueError("--b needs --a; omit both to check every pair")
     pairs, holds = _theorem1_sweep(tables, n)
     _echo_json({"n": n, "pairs_checked": pairs, "all_hold": holds})
 
@@ -316,15 +312,13 @@ def pid_decompose(ctx, dist_file):
     bits = _bit_matrix(tables, nsources)
     dist.u_values()  # fills the entropy table: the guard reads every source set
     # consistency guard: cumulative sums must rebuild every I(X^a ; Y)
-    for mask in range(1, 1 << nsources):
-        members = list(mask_members(mask))
-        total = sum(compress(atom_values, bits[:, mask].tolist()))
-        expected = dist.conditional_mutual_information(members, (dist.n,))
-        if abs(total - expected) > _DECOMPOSE_TOLERANCE:
-            _fail(
-                EXIT_DOMAIN_ERROR,
-                f"decomposition inconsistent on {members}: {total} vs {expected}",
-            )
+    with _refusing(EXIT_DOMAIN_ERROR):
+        for mask in range(1, 1 << nsources):
+            members = list(mask_members(mask))
+            total = sum(compress(atom_values, bits[:, mask].tolist()))
+            expected = dist.conditional_mutual_information(members, (dist.n,))
+            if abs(total - expected) > _DECOMPOSE_TOLERANCE:
+                raise ValueError(f"decomposition inconsistent on {members}: {total} vs {expected}")
     _echo_atoms(nsources, tables, [v * scale for v in atom_values])
 
 

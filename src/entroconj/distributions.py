@@ -58,7 +58,7 @@ class DistributionFormatError(ValueError):
 
 
 class _RowFault(DistributionFormatError):
-    """A row rule's refusal, or a sum off 1: the CSV row loop words it by line."""
+    """A row rule's refusal: the CSV row loop words it by line."""
 
 
 def _sum_axis(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,11 +133,10 @@ def _symbol_array(states, empty: str) -> np.ndarray:
         nvars = len(states[0])
         if any(len(state) != nvars for state in states):
             raise DistributionFormatError("states have inconsistent lengths")
-        if set(map(type, chain.from_iterable(states))) != {int}:
-            try:  # the integer rule of the symbolic layer
-                states = [tuple(_as_int(s, "symbol") for s in state) for state in states]
-            except ValueError as exc:
-                raise DistributionFormatError(str(exc)) from None
+        try:  # the integer rule of the symbolic layer
+            states = [tuple(_as_int(s, "symbol") for s in state) for state in states]
+        except ValueError as exc:
+            raise DistributionFormatError(str(exc)) from None
         try:
             table = np.fromiter(chain.from_iterable(states), np.int64, len(states) * nvars)
         except OverflowError:
@@ -164,14 +163,6 @@ def _check_probabilities(arr: np.ndarray) -> None:
         raise _RowFault("probabilities must be finite")
     if (arr < 0).any():
         raise _RowFault("probabilities must be nonnegative")
-
-
-def _check_sum(total: float) -> None:
-    """Refuse probabilities whose sum ``total`` is not 1 within tolerance."""
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise _RowFault(
-            f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
-        )
 
 
 def _refuse_repeated_states(states: np.ndarray) -> None:
@@ -232,14 +223,23 @@ class JointDistribution:
     __slots__ = ("_pmf", "_entropies")
 
     def __init__(self, pmf):
-        arr = np.array(pmf, dtype=float)
+        try:
+            arr = np.asarray(pmf)
+        except ValueError:  # numpy's refusal of ragged nesting
+            raise DistributionFormatError("probabilities must form a rectangular array") from None
+        if arr.dtype.kind not in "biuf":  # read as from_pmf reads it: numpy drops imaginary parts
+            arr = np.array(list(map(_as_float, arr.ravel().tolist()))).reshape(arr.shape)
+        arr = np.array(arr, dtype=float)  # a copy: it is normalized in place
         if arr.ndim < 1:
             raise DistributionFormatError("a distribution needs at least one variable")
         if arr.ndim > MAX_VARIABLES:
             raise DistributionFormatError(f"at most {MAX_VARIABLES} variables are supported")
         _check_probabilities(arr)
         total = float(arr.sum())
-        _check_sum(total)
+        if abs(total - 1.0) > SUM_TOLERANCE:  # the one sum rule: the whole table's, as a cap is
+            raise DistributionFormatError(
+                f"probabilities sum to {total!r}, expected 1 within {SUM_TOLERANCE:g}"
+            )
         arr /= total
         arr.flags.writeable = False
         object.__setattr__(self, "_pmf", arr)
@@ -471,9 +471,9 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     error in a row and the only one that takes what ``loadtxt`` refuses
     (blank cells, ``1_0``, non-ASCII digits, symbols past int64).  The
     constructors check every row rule before a table cap: a row fault
-    returns None for the row loop to word, and a cap refusal is raised in
-    the row loop's own words.  This adds only the row loop's field limits
-    and the sum added as written.
+    returns None for the row loop to word, and a cap or sum refusal is
+    raised in the row loop's own words.  This adds only the row loop's
+    field limits.
     """
     if not body.strip():
         return None  # loadtxt warns on a body without data
@@ -504,7 +504,6 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
     try:
         if not has_p:
             return JointDistribution.from_samples(table)
-        _check_sum(sum(table["p"].tolist()))  # left to right, as the row loop adds
         return JointDistribution.from_pmf((table["s"], table["p"]))
     except _RowFault:
         return None
@@ -586,10 +585,7 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
 
     if not states:
         raise DistributionFormatError("line 2: no data rows")
-    try:
-        if not has_p:
-            return JointDistribution.from_samples(states)
-        _check_sum(sum(probs))
-        return JointDistribution.from_pmf((states, np.array(probs)))
-    except _RowFault as exc:  # the whole table's refusal: the public type, same words
-        raise DistributionFormatError(str(exc)) from None
+    # every row rule is checked above, so no private _RowFault leaves from here
+    if not has_p:
+        return JointDistribution.from_samples(states)
+    return JointDistribution.from_pmf((states, np.array(probs)))

@@ -54,6 +54,8 @@ def test_code_entropies_are_ranks_and_metrics_are_exact(n):
         for name in METRIC_NAMES:
             e = metric_expression(name, n)
             assert abs(d.evaluate(e) - exact_value(e, ranks)) <= TOLERANCE, (name, k)
+        for j, u in enumerate(d.u_values(), start=1):  # the closed form against u_j's expansion
+            assert abs(u - exact_value(u_expression(j, n), ranks)) <= TOLERANCE, (j, k)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -71,6 +73,10 @@ def test_conjugation_is_code_duality(n):
             assert exact_value(conjugate(e), ranks) == exact_value(e, dual_ranks) - shift, (name, k)
             conjugated = code.evaluate(conjugate(e))
             assert abs(conjugated - (dual_code.evaluate(e) - float(shift))) <= TOLERANCE, (name, k)
+        rng = np.random.default_rng([14, n, k, 1])
+        for _ in range(3):  # the identity holds for every expression, not only the symmetric ones
+            e = random_expression(rng, n)
+            assert exact_value(conjugate(e), ranks) == exact_value(e, dual_ranks) - exact_value(e, sizes), (e, k)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -581,6 +581,30 @@ def test_from_pmf_names_a_probability_that_is_not_a_number_in_an_array(probs, p)
     with pytest.raises(DistributionFormatError) as refusal:
         JointDistribution.from_pmf((((0,), (1,)), probs))
     assert str(refusal.value) == f"probability {p!r} is not a number"
+    with pytest.raises(DistributionFormatError) as direct:  # the constructor reads it alike
+        JointDistribution(probs)
+    assert str(direct.value) == str(refusal.value)
+
+
+_THING = object()
+
+
+@pytest.mark.parametrize("pmf, refusal", [
+    ([None, 1.0], "probability None is not a number"),
+    ([0.5 + 0.7j, 0.5], "probability (0.5+0.7j) is not a number"),
+    (["a", 0.5], "probability 'a' is not a number"),
+    ([[0.5, 0.0], [0.5, None]], "probability None is not a number"),
+    (_THING, f"probability {_THING!r} is not a number"),
+    ([(), 1.0], "probabilities must form a rectangular array"),
+    ([[0.5], [0.25, 0.25]], "probabilities must form a rectangular array"),
+    ([np.zeros((2, 3)), np.zeros((2, 4))], "probabilities must form a rectangular array"),
+], ids=["none", "complex", "string", "none-2d", "object", "empty-tuple", "ragged", "ragged-arrays"])
+def test_the_constructor_names_a_probability_that_is_not_a_number(pmf, refusal):
+    # numpy would read None as nan, drop the imaginary part, refuse 'a' and
+    # a ragged list in its own words
+    with pytest.raises(DistributionFormatError) as direct:
+        JointDistribution(pmf)
+    assert type(direct.value) is DistributionFormatError and str(direct.value) == refusal
 
 
 def test_from_pmf_reads_an_array_of_another_kind_as_its_list():
@@ -690,16 +714,26 @@ def test_load_csv_words_a_repeated_state_anywhere(text, refusal):
     assert _outcome(text) == (DistributionFormatError, refusal)
 
 
-def test_load_csv_adds_the_sum_as_written():
-    # left to right, 1.0000000009999992 and five 0.6-ulp terms round up at
-    # each step, past the tolerance; numpy's sum of the dense table does not
+def _compensated_sum(values, start=0):
+    return math.fsum(values) + start
+
+
+def test_load_csv_sum_verdict_does_not_depend_on_how_the_file_is_added():
+    # Added left to right in file order, 1.0000000009999992 and five 0.6-ulp
+    # terms round up at each step, to 1.0000000010000003, past the tolerance;
+    # a compensated sum (Python 3.12's sum) gives 1.0000000009999999, within
+    # it.  The one sum rule reads the dense table the constructor normalizes,
+    # so both readers accept the body on any interpreter.
     small = 0.6 * 2.0**-52
     text = "x1,p\n5,1.0000000009999992\n" + "".join(f"{i},{small!r}\n" for i in range(5))
+    accepted = _outcome(text)
+    assert accepted[0] == (6,)
     with mock.patch.object(distributions, "_from_columns", return_value=None):
-        rows_only = _outcome(text)
-    assert rows_only[0] is DistributionFormatError
-    assert rows_only[1] == "probabilities sum to 1.0000000010000003, expected 1 within 1e-09"
-    assert _outcome(text) == rows_only
+        assert _outcome(text) == accepted
+    with mock.patch("builtins.sum", _compensated_sum):
+        assert _outcome(text) == accepted
+        with mock.patch.object(distributions, "_from_columns", return_value=None):
+            assert _outcome(text) == accepted
 
 
 def test_load_csv_frees_the_header_buffer_before_the_body_is_parsed():
@@ -842,6 +876,7 @@ def _outcome(text: str):
 def test_numpy_reader_matches_the_row_loop(text):
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
+    assert rows_only[0] is not distributions._RowFault  # the row loop words every row rule
     assert _outcome(text) == rows_only
 
 
@@ -855,11 +890,17 @@ _EIGHT = ",".join(f"x{i}" for i in range(1, 9)) + "\n"
     (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.5\n", "dense table of 16777217 cells"),
     (_WIDE + "\n" + ",".join("0" * 21) + "\n", "at most 20 variables"),
     (_WIDE + ",p\n" + ",".join("0" * 21) + ",1\n", "at most 20 variables"),
+    ("x1,x2,p\n0,0,0.25\n0,1,0.25\n1,0,0.25\n1,1,0.125\n",
+     "probabilities sum to 0.875, expected 1 within 1e-09"),
+    # a cap and the sum both broken: the cap's message comes first
+    (f"x1,x2,p\n0,0,0.5\n{MAX_DENSE_CELLS},0,0.4\n", "dense table of 16777217 cells"),
+    (_WIDE + ",p\n" + ",".join("0" * 21) + ",0.9\n", "at most 20 variables"),
 ], ids=["samples-cells", "samples-cells-one-digit", "p-table-cells", "samples-variables",
-        "p-table-variables"])
+        "p-table-variables", "p-table-sum", "p-table-cells-and-sum", "p-table-variables-and-sum"])
 def test_numpy_reader_refuses_an_oversized_table_itself(text, refusal):
-    # a refusal that no single row causes is the row loop's too, word for
-    # word, so the numpy reader raises it without reading the body again
+    # a refusal that no single row causes (a cap, or the sum) is the row
+    # loop's too, word for word, so the numpy reader raises it without
+    # reading the body again
     with mock.patch.object(distributions, "_from_columns", return_value=None):
         rows_only = _outcome(text)
     assert rows_only[0] is DistributionFormatError and refusal in rows_only[1]

@@ -41,7 +41,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_every_click_echo_names_its_stream():
     # without file=, click keeps each redirected sys.stdout/sys.stderr alive
-    # for the life of the process (see cli._fail)
+    # for the life of the process (see cli._echo)
     package = Path(entroconj.__file__).resolve().parent
     unnamed = []
     for path in sorted(package.glob("*.py")):
@@ -76,6 +76,28 @@ def test_every_cli_json_parse_goes_through_the_depth_guard():
         ):
             bare.append(node.lineno)
     assert bare == []
+
+
+def test_only_refusing_exits_or_writes_to_stderr():
+    # one exit path: every refusal is one `error:` line and an exit code, from _refusing
+    tree = ast.parse((Path(entroconj.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8"))
+    (helper,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_refusing"]
+    inside = set(map(id, ast.walk(helper)))
+    found, outside = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("exit", "stderr"):
+            name = ast.unparse(node)  # sys.exit, sys.stderr, ctx.exit ...
+        elif isinstance(node, ast.keyword) and node.arg == "err":
+            name = "err="  # click.echo(..., err=True)
+        elif isinstance(node, ast.Name) and node.id == "SystemExit":
+            name = node.id
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            name = "from sys import"  # would hide the attribute
+        else:
+            continue
+        (found if id(node) in inside else outside).append(f"{name}:{node.lineno}")
+    assert outside == []
+    assert sorted(name.split(":")[0] for name in found) == ["sys.exit", "sys.stderr"]
 
 
 def _leading_literal(comment: str):
