@@ -19,6 +19,33 @@ The package has five layers:
 
 __version__ = "0.1.0"  # set before the imports: spins reads it
 
+import sys as _sys
+from types import ModuleType as _ModuleType
+
+
+class _NumpyOnFirstUse(_ModuleType):
+    """What the modules bind as ``np`` until numpy is first read.
+
+    ``basis``, ``classify`` and ``conjugate`` never read it, so they run
+    without importing numpy.  The first attribute read imports numpy (a
+    thread that reads meanwhile waits on the import system's module lock,
+    then sees the whole module) and rebinds every name in the package that
+    holds this object, so from then on ``np is numpy``.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+
+        for key, module in list(_sys.modules.items()):
+            if key.split(".")[0] == __name__:
+                scope = vars(module)
+                scope.update({attr: numpy for attr, value in list(scope.items()) if value is self})
+        return getattr(numpy, name)
+
+
+# set before the imports, which bind it as np
+_numpy = _NumpyOnFirstUse("numpy")
+
 from . import algebra, distributions, metrics, pid, spins
 from .algebra import *
 from .distributions import *

@@ -20,9 +20,8 @@ from itertools import compress
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import __version__
+from . import __version__, _numpy as np
 from .algebra import (
     MAX_JSON_VARIABLES,
     classify as classify_vector,

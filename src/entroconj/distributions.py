@@ -32,8 +32,7 @@ from math import comb, prod
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
+from . import _numpy as np
 from .algebra import EntropyExpression, _as_int, mutual_information_expr, subset_mask
 
 __all__ = [
@@ -56,9 +55,13 @@ _BLOCK_CELLS = 1 << 18
 class DistributionFormatError(ValueError):
     """Malformed distribution input (CSV rows, pmf tables, sample lists)."""
 
+    _row_rule = False  # a row rule's refusal, which the CSV row loop words by line
 
-class _RowFault(DistributionFormatError):
-    """A row rule's refusal: the CSV row loop words it by line."""
+
+def _row_fault(message: str) -> DistributionFormatError:
+    exc = DistributionFormatError(message)
+    exc._row_rule = True
+    return exc
 
 
 def _sum_axis(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -145,7 +148,7 @@ def _symbol_array(states, empty: str) -> np.ndarray:
     if not len(states):
         raise DistributionFormatError(empty)
     if (states < 0).any():
-        raise _RowFault("symbols must be nonnegative integers")
+        raise _row_fault("symbols must be nonnegative integers")
     return states
 
 
@@ -160,9 +163,9 @@ def _as_float(p, where: str = "") -> float:
 def _check_probabilities(arr: np.ndarray) -> None:
     """Refuse probabilities unless every one is finite and nonnegative."""
     if not np.isfinite(arr).all():
-        raise _RowFault("probabilities must be finite")
+        raise _row_fault("probabilities must be finite")
     if (arr < 0).any():
-        raise _RowFault("probabilities must be nonnegative")
+        raise _row_fault("probabilities must be nonnegative")
 
 
 def _refuse_repeated_states(states: np.ndarray) -> None:
@@ -176,7 +179,7 @@ def _refuse_repeated_states(states: np.ndarray) -> None:
     repeated = (ordered[1:] == ordered[:-1]).all(axis=1)
     if repeated.any():
         state = tuple(ordered[repeated.argmax()].tolist())
-        raise _RowFault(f"duplicate state {state}")
+        raise _row_fault(f"duplicate state {state}")
 
 
 def _dense_table(codes: np.ndarray, sizes: tuple[int, ...], weights=None) -> np.ndarray:
@@ -505,7 +508,9 @@ def _from_columns(body: str, nvars: int, has_p: bool) -> JointDistribution | Non
         if not has_p:
             return JointDistribution.from_samples(table)
         return JointDistribution.from_pmf((table["s"], table["p"]))
-    except _RowFault:
+    except DistributionFormatError as exc:
+        if not exc._row_rule:
+            raise
         return None
 
 
@@ -585,7 +590,7 @@ def _from_rows(body: str, ncols: int, has_p: bool, header_lines: int) -> JointDi
 
     if not states:
         raise DistributionFormatError("line 2: no data rows")
-    # every row rule is checked above, so no private _RowFault leaves from here
+    # every row rule is checked above, so no refusal leaves here without its line
     if not has_p:
         return JointDistribution.from_samples(states)
     return JointDistribution.from_pmf((states, np.array(probs)))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
+from . import _numpy as np
 from .algebra import _as_int, mask_members, subset_mask
 from .distributions import PROB_ZERO, JointDistribution
 

@@ -22,9 +22,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, _numpy as np
 from .algebra import _as_int
 from .distributions import JointDistribution
 

@@ -556,11 +556,15 @@ def pid_conjugate_check(dist: JointDistribution, a, b=()) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def gf2_rank(rows) -> int:
-    """Rank over GF(2) of a 0/1 matrix, one row at a time against a pivot per leading bit."""
+def _packed_rows(rows) -> list[int]:
+    """Each row of a 0/1 matrix as an int, entry i at bit i."""
+    return [sum(bit << i for i, bit in enumerate(row)) for row in np.asarray(rows, dtype=np.uint8).tolist()]
+
+
+def _packed_rank(vectors) -> int:
+    """Rank over GF(2) of packed vectors, one at a time against a pivot per leading bit."""
     pivots: dict[int, int] = {}
-    for row in np.asarray(rows, dtype=np.uint8).tolist():
-        v = sum(bit << i for i, bit in enumerate(row))
+    for v in vectors:
         while v:
             top = v.bit_length() - 1
             if top not in pivots:
@@ -568,6 +572,11 @@ def gf2_rank(rows) -> int:
                 break
             v ^= pivots[top]
     return len(pivots)
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of a 0/1 matrix."""
+    return _packed_rank(_packed_rows(rows))
 
 
 def random_generator(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
@@ -614,8 +623,10 @@ def dual_basis(g: np.ndarray) -> np.ndarray:
 def rank_table(g: np.ndarray) -> list[int]:
     """GF(2) rank of the columns of ``g`` in each source-subset mask: the
     entropy table, in bits, of the uniform distribution on the code."""
-    n = g.shape[1]
-    return [gf2_rank(g[:, [i for i in range(n) if (mask >> i) & 1]]) for mask in range(1 << n)]
+    columns = _packed_rows(np.transpose(g))
+    return [
+        _packed_rank(c for i, c in enumerate(columns) if (mask >> i) & 1) for mask in range(1 << len(columns))
+    ]
 
 
 def exact_value(e: EntropyExpression, table) -> Fraction:

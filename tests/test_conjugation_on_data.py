@@ -45,7 +45,7 @@ def _codes(n: int):
         yield k, random_generator(np.random.default_rng([14, n, k]), k, n)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_code_entropies_are_ranks_and_metrics_are_exact(n):
     for k, g in _codes(n):
         ranks = rank_table(g)
@@ -58,7 +58,7 @@ def test_code_entropies_are_ranks_and_metrics_are_exact(n):
             assert abs(u - exact_value(u_expression(j, n), ranks)) <= TOLERANCE, (j, k)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 15))
 def test_conjugation_is_code_duality(n):
     sizes = [mask.bit_count() for mask in range(1 << n)]  # m(a) = |a|
     for k, g in _codes(n):
@@ -66,7 +66,8 @@ def test_conjugation_is_code_duality(n):
         assert gf2_rank(h) == len(h) == n - k and not (g.astype(int) @ h.T % 2).any(), k
         ranks, dual_ranks = rank_table(g), rank_table(h)
         code, dual_code = (JointDistribution.from_samples(codewords(x)) for x in (g, h))
-        assert dual_code._entropy_table().tolist() == dual_ranks, k
+        # both tables, so each evaluate reads one instead of summing its marginals
+        assert code._entropy_table().tolist() == ranks and dual_code._entropy_table().tolist() == dual_ranks, k
         for name in METRIC_NAMES:
             e = metric_expression(name, n)
             shift = exact_value(e, sizes)
@@ -79,9 +80,12 @@ def test_conjugation_is_code_duality(n):
             assert exact_value(conjugate(e), ranks) == exact_value(e, dual_ranks) - exact_value(e, sizes), (e, k)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-@pytest.mark.parametrize("states", [2, 3])
-def test_expressions_read_on_the_reversed_table_are_their_conjugates(n, states):
+# binary pmfs up to n = 12, ternary ones up to n = 10
+PMF_SHAPES = [(2, n) for n in range(2, 13)] + [(3, n) for n in range(2, 11)]
+
+
+@pytest.mark.parametrize("states, n", PMF_SHAPES)
+def test_expressions_read_on_the_reversed_table_are_their_conjugates(states, n):
     rng = np.random.default_rng([13, n, states])
     d = random_distribution(rng, [states] * n)
     starred = reversed_table(d)
@@ -96,3 +100,29 @@ def test_expressions_read_on_the_reversed_table_are_their_conjugates(n, states):
         assert abs(table_value(u_expression(k, n), starred) - u[n - k - 1]) <= TOLERANCE, k
     tc, dtc = metric_expression("tc", n), metric_expression("dtc", n)
     assert abs(table_value(tc, starred) - d.evaluate(dtc)) <= TOLERANCE
+
+
+@pytest.mark.parametrize("states, n", PMF_SHAPES)
+def test_the_part_the_class_forbids_reads_zero(states, n):
+    # oinfo is skew-symmetric (v* = -v), sinfo and tse symmetric (v* = v)
+    d = random_distribution(np.random.default_rng([13, n, states, 1]), [states] * n)
+    starred = reversed_table(d)
+    for name, sign in (("oinfo", 1), ("sinfo", -1), ("tse", -1)):
+        e = metric_expression(name, n)
+        part = (d.evaluate(e) + sign * table_value(e, starred)) / 2
+        assert abs(part) <= TOLERANCE, (name, part)
+
+
+def _self_dual_pairs(n: int) -> np.ndarray:
+    """The generator of n/2 copied pairs: each row repeats one bit in two columns."""
+    return np.kron(np.eye(n // 2, dtype=np.uint8), np.ones((1, 2), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("g", [
+    _self_dual_pairs(14),
+    random_generator(np.random.default_rng([14, 14, 7]), 7, 14),  # _codes(14) at k = 7
+], ids=["copied-pairs", "seeded"])
+def test_a_code_with_zero_oinfo_reads_zero(g):
+    e = metric_expression("oinfo", g.shape[1])
+    assert exact_value(e, rank_table(g)) == 0
+    assert abs(JointDistribution.from_samples(codewords(g)).evaluate(e)) <= TOLERANCE

@@ -423,6 +423,20 @@ def test_constructors_refuse_no_states():
         JointDistribution.from_samples([])
 
 
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: JointDistribution([1.5, -0.5]), "probabilities must be nonnegative"),
+    (lambda: JointDistribution([math.nan, 1.0]), "probabilities must be finite"),
+    (lambda: JointDistribution.from_samples([[-1]]), "symbols must be nonnegative integers"),
+    (lambda: JointDistribution.from_pmf((((0,), (0,)), [0.5, 0.5])), "duplicate state (0,)"),
+], ids=["negative-p", "nan-p", "negative-symbol", "repeated-state"])
+def test_row_rule_refusals_are_the_public_error_type(build, refusal):
+    # load_csv's numpy route sends these to the row loop; the constructors
+    # still raise the public type, never a private subclass
+    with pytest.raises(DistributionFormatError) as direct:
+        build()
+    assert type(direct.value) is DistributionFormatError and str(direct.value) == refusal
+
+
 def test_from_samples_counts_frequencies():
     d = JointDistribution.from_samples([(0, 0), (1, 1), (0, 0), (1, 1)])
     assert np.allclose(d.pmf, copy_pair().pmf)
@@ -871,12 +885,17 @@ def _outcome(text: str):
     return d.alphabet_sizes, d.pmf.tobytes()
 
 
+class _UnwordedRowFault(DistributionFormatError):
+    """A constructor's row-rule refusal, marked to be seen if one leaves load_csv."""
+
+
 @given(csv_texts())
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_numpy_reader_matches_the_row_loop(text):
-    with mock.patch.object(distributions, "_from_columns", return_value=None):
+    with mock.patch.object(distributions, "_from_columns", return_value=None), \
+            mock.patch.object(distributions, "_row_fault", _UnwordedRowFault):
         rows_only = _outcome(text)
-    assert rows_only[0] is not distributions._RowFault  # the row loop words every row rule
+    assert rows_only[0] is not _UnwordedRowFault  # the row loop words every row rule
     assert _outcome(text) == rows_only
 
 

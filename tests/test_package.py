@@ -1,14 +1,17 @@
 """Tests of the package surface: its public names and what importing it costs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import entroconj
-from entroconj import algebra, distributions, metrics, pid, spins
+from entroconj import algebra, distributions, expression_to_json, metric_expression, metrics, pid, spins
 
 MODULES = (algebra, distributions, metrics, pid, spins)
 
@@ -27,16 +30,103 @@ def test_package_all_is_the_union_of_the_module_alls():
     assert set(entroconj.__all__) == union
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh(code: str, *args: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter that finds this package."""
     src = str(Path(entroconj.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, entroconj.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True, timeout=120,
+        capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, entroconj.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh(code) == "[]"
+
+
+# runs each command in process and reports, after each, whether numpy is loaded
+_COMMANDS_THEN_NUMPY = """
+import contextlib, io, json, sys
+import entroconj.cli
+loaded = {"import entroconj.cli": "numpy" in sys.modules}
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            entroconj.cli.main(args)
+        except SystemExit as exc:
+            assert exc.code == 0, (args, exc.code)
+    assert out.getvalue(), args
+    loaded[" ".join(args)] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_symbolic_commands_load_no_numpy(tmp_path):
+    expr = tmp_path / "sinfo.json"
+    expr.write_text(json.dumps(expression_to_json(metric_expression("sinfo", 4))), encoding="utf-8")
+    commands = [[name, str(expr)] for name in ("basis", "classify", "conjugate")] + [["--help"], ["--version"]]
+    loaded = json.loads(_fresh(_COMMANDS_THEN_NUMPY, json.dumps(commands)))
+    assert loaded == {"import entroconj.cli": False, **{" ".join(args): False for args in commands}}
+    # the check sees numpy when a command loads it
+    dist = tmp_path / "pair.csv"
+    dist.write_text("x1,x2,p\n0,0,0.5\n1,1,0.5\n", encoding="utf-8")
+    loaded = json.loads(_fresh(_COMMANDS_THEN_NUMPY, json.dumps([["metrics", str(dist)]])))
+    assert loaded == {"import entroconj.cli": False, f"metrics {dist}": True}
+
+
+# after one numeric call, every name in the package that held the stand-in is numpy
+_NUMPY_BOUND_AFTER = """
+import sys
+import entroconj.cli
+from entroconj import JointDistribution, enumerate_atoms
+{call}
+numpy = sys.modules["numpy"]
+modules = {{name: vars(m) for name, m in sys.modules.items() if name.split(".")[0] == "entroconj"}}
+stand_ins = [f"{{m}}.{{a}}" for m, scope in modules.items() for a, v in scope.items()
+             if type(v).__name__ == "_NumpyOnFirstUse"]
+print(sorted(m for m, scope in modules.items() if scope.get("np") is numpy), stand_ins)
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "JointDistribution([0.5, 0.5]).u_values()",
+    "enumerate_atoms(2)",
+    "entroconj.cli.main(['pid', 'list-atoms', '--n', '2'], standalone_mode=False)",
+], ids=["distribution", "atoms", "cli-pid"])
+def test_the_first_numeric_call_binds_numpy_in_every_module(call):
+    bound = "['entroconj.cli', 'entroconj.distributions', 'entroconj.pid', 'entroconj.spins'] []"
+    assert _fresh(_NUMPY_BOUND_AFTER.format(call=call)) == bound
+
+
+_THREADS_FIRST_CALL = """
+import sys, threading
+import entroconj
+sys.setswitchinterval(1e-6)  # switch threads often, inside the import too
+errors, start = [], threading.Barrier(8)
+
+def first_call():
+    start.wait()
+    try:
+        entroconj.JointDistribution([0.25, 0.25, 0.25, 0.25]).u_values()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(errors, sum(t.is_alive() for t in threads))
+"""
+
+
+def test_eight_threads_make_the_first_numeric_call_at_once():
+    # a thread that reads np while another imports numpy waits for the whole module
+    assert _fresh(_THREADS_FIRST_CALL) == "[] 0"
 
 
 def test_every_click_echo_names_its_stream():
